@@ -1,12 +1,19 @@
 #include "cap/golden.hpp"
 
+#include <algorithm>
+#include <chrono>
+#include <thread>
+
 #include "apps/ipsec_gateway.hpp"
 #include "apps/ipv4_forward.hpp"
 #include "apps/ipv6_forward.hpp"
 #include "cap/capture.hpp"
 #include "cap/replay.hpp"
+#include "common/endian.hpp"
 #include "core/model_driver.hpp"
+#include "core/router.hpp"
 #include "core/testbed.hpp"
+#include "crypto/esp.hpp"
 #include "gen/traffic.hpp"
 #include "route/rib_gen.hpp"
 
@@ -25,6 +32,14 @@ constexpr u64 kIpv6TrafficSeed = 1804;
 constexpr u64 kIpv6PoolSeed = 1805;
 constexpr u64 kIpsecTrafficSeed = 1806;
 constexpr std::size_t kCorpusRibSize = 20'000;
+/// Upper bound on a threaded corpus replay; a healthy run takes
+/// milliseconds, so hitting it means frames were lost.
+constexpr std::chrono::seconds kRouterReplayTimeout{30};
+
+crypto::SecurityAssociation corpus_sa() {
+  return crypto::SecurityAssociation::make_test_sa(0x5151, net::Ipv4Addr(172, 16, 0, 1),
+                                                   net::Ipv4Addr(172, 16, 0, 2));
+}
 
 std::vector<route::Ipv4Prefix> corpus_ipv4_rib() {
   return route::generate_ipv4_rib(
@@ -60,17 +75,29 @@ gen::TrafficGen corpus_traffic(Corpus corpus) {
 }
 
 /// Replay the input through the paper-server testbed with `app` on the
-/// GPU path (inline SIMT execution — deterministic) and collect TX.
-FrameList run_through(core::Shader& app, const std::string& input_path) {
+/// GPU path (inline SIMT execution) and collect TX.
+FrameList run_through(core::Shader& app, const std::string& input_path, Executor executor,
+                      u64 expected_frames) {
+  const core::RouterConfig config{.use_gpu = true};
   core::Testbed testbed(
-      {.topo = pcie::Topology::paper_server(), .use_gpu = true, .ring_size = 4096},
-      core::RouterConfig{.use_gpu = true});
+      {.topo = pcie::Topology::paper_server(), .use_gpu = true, .ring_size = 4096}, config);
   FrameCollector sink;
   testbed.connect_sink(&sink);
 
   PcapReplayer replayer(input_path, {.rate = ReplayRate::kMax, .loop_count = 1});
-  core::ModelDriver driver(testbed, &app, core::RouterConfig{.use_gpu = true});
-  driver.run(static_cast<gen::FrameSource&>(replayer), ~u64{0});  // exits when the capture drains
+  if (executor == Executor::kModel) {
+    core::ModelDriver driver(testbed, &app, config);
+    driver.run(static_cast<gen::FrameSource&>(replayer), ~u64{0});  // exits when the capture drains
+  } else {
+    core::Router router(testbed.engine(), testbed.gpus(), app, config);
+    router.start();
+    replayer.offer_some(testbed.ports(), ~u64{0});  // the whole capture, back to back
+    const auto deadline = std::chrono::steady_clock::now() + kRouterReplayTimeout;
+    while (sink.size() < expected_frames && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    router.stop();
+  }
   return canonicalize(sink.frames());
 }
 
@@ -111,30 +138,62 @@ void write_corpus_input(Corpus corpus, const std::string& path) {
   }
 }
 
-FrameList route_corpus(Corpus corpus, const std::string& input_path) {
+FrameList route_corpus(Corpus corpus, const std::string& input_path, Executor executor) {
+  const u64 expected = corpus_frame_count(corpus);
   switch (corpus) {
     case Corpus::kIpv4Imix: {
       const auto rib = corpus_ipv4_rib();
       route::Ipv4Table table;
       table.build(rib);
       apps::Ipv4ForwardApp app(table);
-      return run_through(app, input_path);
+      return run_through(app, input_path, executor, expected);
     }
     case Corpus::kIpv6: {
       const auto rib = corpus_ipv6_rib();
       route::Ipv6Table table;
       table.build(rib);
       apps::Ipv6ForwardApp app(table);
-      return run_through(app, input_path);
+      return run_through(app, input_path, executor, expected);
     }
     case Corpus::kIpsec: {
-      const auto sa = crypto::SecurityAssociation::make_test_sa(
-          0x5151, net::Ipv4Addr(172, 16, 0, 1), net::Ipv4Addr(172, 16, 0, 2));
-      apps::IpsecGatewayApp app(sa);
-      return run_through(app, input_path);
+      apps::IpsecGatewayApp app(corpus_sa());
+      return run_through(app, input_path, executor, expected);
     }
   }
   return {};
+}
+
+FrameList renumber_esp(const FrameList& frames) {
+  constexpr std::size_t kL2 = sizeof(net::EthernetHeader);
+  constexpr std::size_t kSeqOffset = kL2 + sizeof(net::Ipv4Header) + 4;
+  const crypto::SecurityAssociation sa = corpus_sa();
+  FrameList keyed;  // L2 header + decapsulated inner frame, per valid ESP frame
+  FrameList out;
+  for (const auto& frame : frames) {
+    crypto::SecurityAssociation rx = sa;  // fresh anti-replay window per frame
+    std::vector<u8> inner;
+    bool valid = frame.size() > kSeqOffset + 4 &&
+                 crypto::esp_decapsulate(rx, frame, inner) == crypto::EspError::kOk;
+    if (valid) {
+      const auto ref = crypto::esp_encapsulate(sa, inner, load_be32(frame.data() + kSeqOffset));
+      valid = ref.size() == frame.size() &&
+              std::equal(frame.begin() + kL2, frame.end(), ref.begin() + kL2);
+    }
+    if (!valid) {
+      out.push_back(frame);
+      continue;
+    }
+    std::vector<u8> key(frame.begin(), frame.begin() + kL2);
+    key.insert(key.end(), inner.begin(), inner.end());
+    keyed.push_back(std::move(key));
+  }
+  u32 seq = 1;
+  for (const auto& key : canonicalize(std::move(keyed))) {
+    auto frame = crypto::esp_encapsulate(sa, {key.data() + kL2, key.size() - kL2}, seq++);
+    std::copy(key.begin(), key.begin() + kL2, frame.begin());
+    out.push_back(std::move(frame));
+  }
+  return canonicalize(std::move(out));
 }
 
 }  // namespace ps::cap

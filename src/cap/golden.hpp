@@ -36,9 +36,28 @@ u64 corpus_frame_count(Corpus corpus);
 /// yields byte-identical files — the checksum manifest depends on it.
 void write_corpus_input(Corpus corpus, const std::string& path);
 
+/// Which executor drives the per-chunk pipeline for a corpus replay.
+enum class Executor : u8 {
+  kModel,   // core::ModelDriver: one host thread, deterministic order
+  kRouter,  // core::Router: worker/master threads, SPSC hand-off, doorbells
+};
+
 /// Replay the capture at `input_path` through the full router configured
-/// for `corpus` (paper-server testbed, GPU path, inline deterministic
-/// execution) and return the canonicalized TX frames.
-FrameList route_corpus(Corpus corpus, const std::string& input_path);
+/// for `corpus` (paper-server testbed, GPU path, inline SIMT execution)
+/// and return the canonicalized TX frames. The Router run replays at
+/// kMax and stops once every corpus frame reached TX (or on a timeout,
+/// leaving the shortfall to the caller's count check).
+FrameList route_corpus(Corpus corpus, const std::string& input_path,
+                       Executor executor = Executor::kModel);
+
+/// Reassign the ESP sequence numbers of IPsec-corpus frames in a
+/// schedule-independent order. The gateway numbers packets in the order
+/// its workers encapsulate them, which the threaded Router interleaves
+/// differently on every run; everything else in a frame is a function of
+/// (inner packet, sequence number). Each frame must decapsulate under the
+/// corpus SA and re-encapsulate byte-identically at its own number — one
+/// that does not is kept raw, so it fails the golden comparison. The
+/// survivors are then re-encapsulated at 1..n in inner-packet order.
+FrameList renumber_esp(const FrameList& frames);
 
 }  // namespace ps::cap

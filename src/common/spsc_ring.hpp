@@ -172,13 +172,13 @@ class WakeSignal {
   CondVar cv_;
 };
 
-/// N single-producer rings fanning into one consumer: the lock-free
-/// replacement for the master's MpscQueue input (section 5.3). Each
+/// N single-producer rings fanning into one consumer: the master's
+/// lock-free input queue (section 5.3). Each
 /// producer owns a private SpscRing — push never touches a lock, a cache
 /// line another producer writes, or (when no consumer is parked) anything
 /// beyond its own ring.
 ///
-/// Ordering contract — weaker than the MpscQueue it replaces, and relied
+/// Ordering contract — weaker than a mutex-guarded MPSC queue, and relied
 /// upon by callers:
 ///  - per-producer FIFO: items from one producer are delivered in push
 ///    order (the SPSC ring guarantees it);
@@ -251,12 +251,11 @@ class SpscFanIn {
     return total;
   }
 
-  /// Consumer only: timed batch pop, same contract as
-  /// MpscQueue::pop_batch_wait_for — waits up to `timeout` for at least
+  /// Consumer only: timed batch pop — waits up to `timeout` for at least
   /// one item, then drains greedily; returns 0 on timeout as well as on
-  /// closed-and-drained (distinguish via drained()). Unlike the mutex
-  /// queue, an idle wait here is edge-triggered: a producer's try_push
-  /// ends it immediately instead of costing the full idle tick.
+  /// closed-and-drained (distinguish via drained()). An idle wait is
+  /// edge-triggered: a producer's try_push ends it immediately instead of
+  /// costing the full idle tick.
   template <typename Rep, typename Period>
   std::size_t pop_batch_wait_for(std::vector<T>& out, std::size_t max,
                                  std::chrono::duration<Rep, Period> timeout) {

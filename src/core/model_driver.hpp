@@ -1,16 +1,20 @@
 // Steady-state throughput model executor (DESIGN.md §4).
 //
-// Runs the full functional pipeline — generator → NIC DMA → io-engine →
-// pre-shade → shade (GPU) → post-shade → TX — deterministically on one
-// host thread, with every stage charging its modeled resource. The
-// sustainable rate is then work / busiest-resource-time. This produces all
-// Figure 6 / Figure 11 numbers; real threads (core::Router) exist for
-// functional integration tests where wall-clock shape does not matter.
+// Drives the per-chunk pipeline (core::Pipeline, the same stage code the
+// threaded core::Router runs) — generator → NIC DMA → io-engine → admit →
+// pre-shade → gather → shade (GPU) → scatter → post-shade → TX —
+// deterministically on one host thread, every stage charging its modeled
+// resource. The sustainable rate is work / busiest-resource-time: the
+// model clock behind every Figure 5/6/11 number. The Router is the wall
+// clock (fig12, benchmark/ps_bench); what stays here is only what the
+// model clock needs — charge scopes, minimal forwarding, the RX-only and
+// TX-only modes, and a no-retry CPU re-shade when a batch fails.
 #pragma once
 
 #include <optional>
 #include <string>
 
+#include "core/pipeline.hpp"
 #include "core/shader.hpp"
 #include "core/testbed.hpp"
 #include "gen/source.hpp"
@@ -66,11 +70,13 @@ class ModelDriver {
   const perf::CostLedger& ledger() const { return ledger_; }
 
   /// Attach the data-plane integrity layer for overhead ablation: the
-  /// driver mirrors the Router's boundary checks (RX admission, gather,
-  /// scatter, pre-TX) and sampled shadow verification, charging their CPU
-  /// cost to the ambient ledger so benches can price them. Null = off
-  /// (the default); the checker must outlive the driver.
-  void set_integrity(integrity::IntegrityChecker* checker) { integrity_ = checker; }
+  /// pipeline's boundary checks (RX admission, gather, scatter, pre-TX)
+  /// and sampled shadow verification then charge their CPU cost to the
+  /// ambient ledger so benches can price them. Null = off (the default);
+  /// the checker must outlive the driver.
+  void set_integrity(integrity::IntegrityChecker* checker) {
+    pipeline_ = Pipeline(shader_, checker);
+  }
 
  private:
   /// Shared pipeline loop: `txonly_traffic` is non-null only for the
@@ -84,19 +90,14 @@ class ModelDriver {
     iengine::IoHandle* handle = nullptr;
   };
 
-  void process_chunk_cpu(WorkerCtx& worker, ShaderJob& job);
-  /// Sampled shadow verification of one GPU-shaded batch (no escalation or
-  /// health machinery here — the analytic driver prices the steady-state
-  /// sampling cost; the trip state machine is the Router's).
-  void shadow_verify(std::span<ShaderJob* const> batch);
-  i16 minimal_out_port(int in_port) const;
+  void forward_minimal(iengine::PacketChunk& chunk) const;
 
   Testbed& testbed_;
   Shader* shader_;
   RouterConfig config_;
-  integrity::IntegrityChecker* integrity_ = nullptr;
-  u64 shadow_seq_ = 0;
-  std::vector<u8> shadow_scratch_;
+  Pipeline pipeline_;
+  /// One for the whole run: the model's masters shade in turn on one thread.
+  ShadowState shadow_;
   perf::CostLedger ledger_;
   std::vector<WorkerCtx> workers_;
   std::vector<std::vector<JobPtr>> node_pending_;  // gathered jobs per node

@@ -42,6 +42,7 @@
 #include "common/heartbeat.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/spsc_ring.hpp"
+#include "core/pipeline.hpp"
 #include "core/shader.hpp"
 #include "fault/fault_injector.hpp"
 #include "gpu/device.hpp"
@@ -235,7 +236,9 @@ class Router {
   /// the gpu_health CPU-only fallback — on mismatches. Call before
   /// start(), and before set_telemetry() so the integrity.* probes get
   /// registered; the checker must outlive the router.
-  void set_integrity(integrity::IntegrityChecker* checker) { integrity_ = checker; }
+  void set_integrity(integrity::IntegrityChecker* checker) {
+    pipeline_ = Pipeline(&shader_, checker);
+  }
 
   /// Publish this router's counters into `registry` under the canonical
   /// names (see README "Exported metrics"): router.*, gpu.node<N>.*,
@@ -283,14 +286,7 @@ class Router {
     u32 consecutive_failures = 0;     // master-thread only
     u32 batches_since_probe = 0;      // master-thread only
 
-    // Shadow-verification state (master-thread only). `shadow_scratch`
-    // stashes the device's results while the CPU re-shade recomputes them
-    // — reserved once in the Router constructor so the steady state stays
-    // allocation-free.
-    u64 shadow_batch_seq = 0;          // successful GPU batches, for sampling
-    u32 shadow_escalated_remaining = 0;  // batches left in the escalation window
-    u32 shadow_strikes = 0;            // mismatched batches in this window
-    std::vector<u8> shadow_scratch;
+    ShadowState shadow;  // master-thread only; scratch reserved at construction
   };
 
   /// Internal form of WorkerStats: single-writer relaxed atomics. Each
@@ -405,16 +401,6 @@ class Router {
   /// recovery, and fall back to shade_cpu so no batch is ever lost.
   void shade_batch(NodeRuntime& node, std::span<ShaderJob* const> batch);
   void cpu_fallback_batch(NodeRuntime& node, std::span<ShaderJob* const> batch);
-  /// Shadow-verify a successfully GPU-shaded batch (sampled 1-in-N, every
-  /// batch while escalated): stash the device's gpu_output, recompute it
-  /// via shade_cpu, compare. Mismatch = the GPU result is quarantined (the
-  /// CPU one ships instead), sampling escalates, and repeated strikes trip
-  /// the device to unhealthy. Master thread only.
-  void shadow_verify_batch(NodeRuntime& node, std::span<ShaderJob* const> batch);
-  /// Drop (kIntegrityFail) every packet the integrity layer flagged bad
-  /// and not already dropped; returns how many. Runs on the worker that
-  /// owns the job (verdict writes stay single-owner).
-  u32 drop_integrity_bad(ShaderJob& job);
   ShaderJob* acquire_job(WorkerRuntime& worker);
   void release_job(WorkerRuntime& worker, ShaderJob* job);
   /// Everything finish used to do up to (and including) queueing the
@@ -449,6 +435,9 @@ class Router {
 
   iengine::PacketIoEngine& engine_;
   Shader& shader_;
+  /// The stage bodies shared with ModelDriver (verdict writes stay with
+  /// the worker that owns the job).
+  Pipeline pipeline_;
   RouterConfig config_;
   int workers_per_node_;
 
@@ -458,7 +447,6 @@ class Router {
   slowpath::HostStack* host_stack_ PT_GUARDED_BY(host_stack_mu_) = nullptr;
   slowpath::Admission slowpath_admission_ GUARDED_BY(host_stack_mu_);
   fault::FaultInjector* injector_ = nullptr;
-  integrity::IntegrityChecker* integrity_ = nullptr;
   telemetry::MetricsRegistry* telemetry_ = nullptr;
   telemetry::PipelineTracer* tracer_ = nullptr;
 

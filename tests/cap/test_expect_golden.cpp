@@ -3,16 +3,21 @@
 // committed expected pcap. Any mismatch is a real behaviour change —
 // either a regression, or an intentional change that must be re-blessed
 // with scripts/regen_goldens.sh (which also refreshes the checksum
-// manifest). These tests carry the ctest label "replay" (the CI
-// replay-gate job) on top of tier-1.
+// manifest). Each corpus runs through both executors: the single-thread
+// ModelDriver and the threaded Router (SPSC hand-off, in-place scatter,
+// batched doorbells), which share one per-chunk pipeline. These tests
+// carry the ctest label "replay" (the CI replay-gate job) on top of tier-1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 
 #include "cap/expect.hpp"
 #include "cap/golden.hpp"
+#include "common/endian.hpp"
+#include "crypto/esp.hpp"
 #include "gen/pcap.hpp"
 
 #ifndef PS_TEST_DATA_DIR
@@ -37,12 +42,13 @@ std::vector<u8> slurp(const std::string& path) {
 
 // Diff pcaps land under the ctest working directory so the nightly job
 // can upload them as artifacts on failure.
-std::string diff_path_for(Corpus corpus) {
+std::string diff_path_for(Corpus corpus, Executor executor) {
   std::filesystem::create_directories("expect_diffs");
-  return std::string("expect_diffs/") + corpus_name(corpus) + ".actual.pcap";
+  return std::string("expect_diffs/") + corpus_name(corpus) +
+         (executor == Executor::kRouter ? ".router" : "") + ".actual.pcap";
 }
 
-void expect_corpus_matches_golden(Corpus corpus) {
+void expect_corpus_matches_golden(Corpus corpus, Executor executor = Executor::kModel) {
   const std::string input = corpus_input_path(PS_TEST_DATA_DIR, corpus);
   const std::string golden = corpus_golden_path(PS_TEST_DATA_DIR, corpus);
   ASSERT_TRUE(std::filesystem::exists(input))
@@ -50,11 +56,19 @@ void expect_corpus_matches_golden(Corpus corpus) {
   ASSERT_TRUE(std::filesystem::exists(golden))
       << "missing golden capture " << golden << "; " << kRegenHint;
 
-  const FrameList actual = route_corpus(corpus, input);
+  FrameList actual = route_corpus(corpus, input, executor);
   EXPECT_EQ(actual.size(), corpus_frame_count(corpus))
       << corpus_name(corpus) << ": router did not forward every corpus frame";
 
-  const auto result = expect_frames(golden, actual, diff_path_for(corpus));
+  std::string expected = golden;
+  if (corpus == Corpus::kIpsec && executor == Executor::kRouter) {
+    // Concurrent workers hand out ESP sequence numbers in a different
+    // order on every run: compare both sides renumbered.
+    expected = temp_path("ipsec_renumbered_golden.pcap");
+    write_canonical_pcap(expected, renumber_esp(gen::read_pcap(golden)));
+    actual = renumber_esp(actual);
+  }
+  const auto result = expect_frames(expected, actual, diff_path_for(corpus, executor));
   EXPECT_TRUE(result.match) << corpus_name(corpus) << ": " << result.message << "; "
                             << kRegenHint;
 }
@@ -69,6 +83,47 @@ TEST(ExpectGolden, Ipv6ReplaysByteIdentical) {
 
 TEST(ExpectGolden, IpsecReplaysByteIdentical) {
   expect_corpus_matches_golden(Corpus::kIpsec);
+}
+
+TEST(ExpectGolden, Ipv4ImixReplaysByteIdenticalThroughRouter) {
+  expect_corpus_matches_golden(Corpus::kIpv4Imix, Executor::kRouter);
+}
+
+TEST(ExpectGolden, Ipv6ReplaysByteIdenticalThroughRouter) {
+  expect_corpus_matches_golden(Corpus::kIpv6, Executor::kRouter);
+}
+
+TEST(ExpectGolden, IpsecReplaysByteIdenticalThroughRouter) {
+  expect_corpus_matches_golden(Corpus::kIpsec, Executor::kRouter);
+}
+
+TEST(ExpectGolden, RenumberEspIgnoresNumberingButNotBytes) {
+  const FrameList golden = gen::read_pcap(corpus_golden_path(PS_TEST_DATA_DIR, Corpus::kIpsec));
+  ASSERT_EQ(golden.size(), corpus_frame_count(Corpus::kIpsec));
+  const auto sa = crypto::SecurityAssociation::make_test_sa(
+      0x5151, net::Ipv4Addr(172, 16, 0, 1), net::Ipv4Addr(172, 16, 0, 2));
+
+  // The same packets numbered in reverse — what another worker interleaving
+  // produces — renumber to the same frames.
+  FrameList reversed;
+  for (const auto& frame : golden) {
+    auto rx = sa;
+    std::vector<u8> inner;
+    ASSERT_EQ(crypto::esp_decapsulate(rx, frame, inner), crypto::EspError::kOk);
+    const u32 seq = load_be32(frame.data() + sizeof(net::EthernetHeader) +
+                              sizeof(net::Ipv4Header) + 4);
+    auto renumbered = crypto::esp_encapsulate(
+        sa, inner, static_cast<u32>(golden.size()) + 1 - seq);
+    std::copy_n(frame.begin(), sizeof(net::EthernetHeader), renumbered.begin());
+    reversed.push_back(std::move(renumbered));
+  }
+  EXPECT_NE(canonicalize(reversed), canonicalize(golden));
+  EXPECT_EQ(renumber_esp(reversed), renumber_esp(golden));
+
+  // A frame whose bytes no longer authenticate stays raw and mismatches.
+  FrameList tampered = golden;
+  tampered[0][tampered[0].size() / 2] ^= 0x01;
+  EXPECT_NE(renumber_esp(tampered), renumber_esp(golden));
 }
 
 TEST(ExpectGolden, CorpusInputsRegenerateByteIdentical) {

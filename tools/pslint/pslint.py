@@ -380,13 +380,19 @@ def check_hot_sleep(sf, findings):
 
 # Directories whose steady-state loops must not grow containers, and the
 # function names that ARE the steady state: the per-chunk/per-packet
-# loops that run for every batch once the pipeline is warm. Setup code
-# (build(), constructors, start()) is free to grow whatever it likes.
+# loops that run for every batch once the pipeline is warm, and every
+# stage of the shared per-chunk pipeline (core::Pipeline, which both
+# executors call). Setup code (build(), constructors, start()) is free to
+# grow whatever it likes.
 STEADY_DIRS = ("core", "iengine", "route")
+PIPELINE_STAGE_FNS = (
+    "Pipeline::(?:admit|run_cpu|pre|gather_verify|shadow_verify|shadow_check|"
+    "restamp_in_place|apply|pre_tx|drop_flagged)"
+)
 STEADY_FNS = (
     "worker_loop|master_loop|recv_and_dispatch|finish_job|process_cpu_only|"
     "shade_batch|cpu_fallback_batch|recv_chunk|recv_from_queue|send_chunk|"
-    "lookup_batch|lookup"
+    "lookup_batch|lookup|" + PIPELINE_STAGE_FNS
 )
 STEADY_FN_RE = re.compile(r"\b(%s)\s*\(" % STEADY_FNS)
 GROWTH_METHODS = "push_back|emplace_back|resize|insert|emplace"
@@ -463,7 +469,7 @@ def check_steady_state_growth(sf, findings):
 READ_PATH_FNS = {
     "route": (r"lookup|lookup_batch", True),
     "apps": (r"shade_cpu|process_cpu|pre_shade|post_shade", True),
-    "core": (r"shade_batch|cpu_fallback_batch", False),
+    "core": (r"shade_batch|cpu_fallback_batch|" + PIPELINE_STAGE_FNS, False),
 }
 READ_PATH_ACQUIRE_RE = re.compile(
     r"\b(MutexLock|std::lock_guard|std::unique_lock|std::scoped_lock)\b"
@@ -499,11 +505,12 @@ def check_read_path_lock(sf, findings):
 
 # The hand-off path: the SPSC fan-in header in full (its WakeSignal slow
 # path carries per-site allow comments), plus the router loops that move
-# jobs across the worker<->master boundary. stage_finish()/shade_batch()
-# may take their own (host-stack, GPU-health) locks — those guard other
-# subsystems, not the hand-off — so only the loop bodies are scanned.
+# jobs across the worker<->master boundary, and the pipeline stages those
+# loops call. stage_finish()/shade_batch() may take their own (host-stack,
+# GPU-health) locks — those guard other subsystems, not the hand-off — so
+# only the loop and stage bodies are scanned.
 HANDOFF_FILE = "common/spsc_ring.hpp"
-HANDOFF_FNS = "worker_loop|drain_scatter|recv_and_dispatch|master_loop"
+HANDOFF_FNS = "worker_loop|drain_scatter|recv_and_dispatch|master_loop|" + PIPELINE_STAGE_FNS
 HANDOFF_FN_RE = re.compile(r"\b(%s)\s*\(" % HANDOFF_FNS)
 
 
