@@ -2,7 +2,13 @@
 // CPU+GPU, 200,000 random prefixes. Paper anchors: CPU+GPU 38.2 Gbps
 // @64 B vs CPU-only ~8 Gbps @64 B — the biggest GPU win, since every
 // lookup costs seven dependent memory accesses.
+//
+//   bench_fig11b_ipv6 [--smoke]
+//
+// --smoke runs the 64 B row only, at the full packet count, so its BENCH
+// line carries the same model numbers as a full run.
 #include <cstdio>
+#include <cstring>
 
 #include "apps/ipv6_forward.hpp"
 #include "bench/bench_util.hpp"
@@ -32,8 +38,12 @@ double run_ipv6(const ps::route::Ipv6Table& table,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ps;
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  }
   bench::print_header("Figure 11(b)", "IPv6 forwarding throughput vs packet size (Gbps)");
   bench::print_note("table: 200,000 random prefixes; lookup = binary search on prefix length");
 
@@ -43,10 +53,12 @@ int main() {
   std::printf("prefixes: %zu, markers: %zu\n", table.prefix_count(), table.marker_count());
   const auto dst_pool = route::sample_covered_ipv6(rib, 65536);
 
+  // IPv6/UDP frames need >= 62 B; 64 B is still the paper's smallest size.
+  const std::vector<u32> sizes =
+      smoke ? std::vector<u32>{64} : std::vector<u32>{64, 128, 256, 512, 1024, 1514};
   std::printf("\n%8s %12s %12s\n", "size", "CPU-only", "CPU+GPU");
   double cpu64 = 0, gpu64 = 0;
-  // IPv6/UDP frames need >= 62 B; 64 B is still the paper's smallest size.
-  for (const u32 size : {64u, 128u, 256u, 512u, 1024u, 1514u}) {
+  for (const u32 size : sizes) {
     const double cpu = run_ipv6(table, dst_pool, size, false);
     const double gpu = run_ipv6(table, dst_pool, size, true);
     std::printf("%8u %12.1f %12.1f\n", size, cpu, gpu);
@@ -55,6 +67,12 @@ int main() {
       gpu64 = gpu;
     }
   }
+
+  telemetry::BenchLine line("fig11b_ipv6");
+  line.field("frame_size", 64);
+  line.fixed("cpu64_gbps", cpu64, 2);
+  line.fixed("gpu64_gbps", gpu64, 2);
+  bench::emit_bench(line);
 
   bench::print_comparisons({
       {"CPU+GPU @64 B (Gbps)", 38.2, gpu64},

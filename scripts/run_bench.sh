@@ -6,8 +6,9 @@
 #   scripts/run_bench.sh [--smoke] [--out FILE] [--build-dir DIR]
 #
 # Full mode runs every BENCH emitter at full duration. --smoke runs the
-# reduced-duration subset (bench_micro_lookup --smoke and
-# bench_fig11a_ipv4 --smoke) that the bench-smoke CI job gates on.
+# reduced-duration subset (bench_micro_lookup, bench_fig11a_ipv4 and
+# bench_fig11b_ipv6, each with --smoke) that the bench-smoke CI job
+# gates on.
 # Output defaults to BENCH_PR5.json in the repo root; each line is the
 # JSON object from one `BENCH {...}` line, prefix stripped.
 set -e
@@ -27,9 +28,9 @@ while [ $# -gt 0 ]; do
 done
 
 if [ "$mode" = smoke ]; then
-  benches="bench_micro_lookup:--smoke bench_fig11a_ipv4:--smoke"
+  benches="bench_micro_lookup:--smoke bench_fig11a_ipv4:--smoke bench_fig11b_ipv6:--smoke"
 else
-  benches="bench_micro_lookup: bench_fig11a_ipv4: bench_fig12_latency: bench_overload: bench_fib_churn:"
+  benches="bench_micro_lookup: bench_fig11a_ipv4: bench_fig11b_ipv6: bench_fig12_latency: bench_overload: bench_fib_churn:"
 fi
 
 log="$(mktemp)"
