@@ -12,9 +12,9 @@
 //    the bottleneck resource's rate, so it is implicit in every number.
 #include <cstdio>
 
+#include "apps/dynamic_ipv4.hpp"
+#include "apps/dynamic_ipv6.hpp"
 #include "apps/ipsec_gateway.hpp"
-#include "apps/ipv6_forward.hpp"
-#include "apps/ipv4_forward.hpp"
 #include "bench/bench_util.hpp"
 #include "core/model_driver.hpp"
 #include "route/rib_gen.hpp"
@@ -28,7 +28,7 @@ struct GatherResult {
   double gpu_capacity_mpps;  // forwarded / GPU-exec busy time, both GPUs
 };
 
-GatherResult run_ipv6_gather(const route::Ipv6Table& table,
+GatherResult run_ipv6_gather(route::Ipv6Fib& fib,
                              const std::vector<net::Ipv6Addr>& pool, u32 gather_max) {
   core::TestbedConfig cfg{.topo = pcie::Topology::paper_server(),
                           .use_gpu = true,
@@ -39,7 +39,7 @@ GatherResult run_ipv6_gather(const route::Ipv6Table& table,
   tcfg.ipv6_dst_pool = pool;
   gen::TrafficGen traffic(tcfg);
   testbed.connect_sink(&traffic);
-  apps::Ipv6ForwardApp app(table);
+  apps::DynamicIpv6ForwardApp app(fib);
   core::ModelDriver driver(testbed, &app, rcfg);
   const auto result = driver.run(traffic, 60'000);
 
@@ -53,7 +53,7 @@ GatherResult run_ipv6_gather(const route::Ipv6Table& table,
   return {result.input_gbps, capacity};
 }
 
-double run_ipv4_streams(const route::Ipv4Table& table, const std::vector<u32>& pool,
+double run_ipv4_streams(route::Ipv4Fib& fib, const std::vector<u32>& pool,
                         u32 num_streams) {
   core::TestbedConfig cfg{.topo = pcie::Topology::paper_server(),
                           .use_gpu = true,
@@ -64,7 +64,7 @@ double run_ipv4_streams(const route::Ipv4Table& table, const std::vector<u32>& p
   tcfg.ipv4_dst_pool = pool;
   gen::TrafficGen traffic(tcfg);
   testbed.connect_sink(&traffic);
-  apps::Ipv4ForwardApp app(table);
+  apps::DynamicIpv4ForwardApp app(fib);
   core::ModelDriver driver(testbed, &app, rcfg);
   return driver.run(traffic, 60'000).input_gbps;
 }
@@ -88,14 +88,16 @@ int main() {
   bench::print_header("Section 5.4 ablation", "GPU optimization strategies");
 
   const auto rib6 = route::generate_ipv6_rib(100'000, 8, 16);
-  route::Ipv6Table table6;
-  table6.build(rib6);
+  route::Ipv6Fib fib6;
+  for (const auto& p : rib6) fib6.announce(p);
+  fib6.commit();
   const auto pool6 = route::sample_covered_ipv6(rib6, 16384);
 
   const auto rib4 =
       route::generate_ipv4_rib({.prefix_count = 100'000, .num_next_hops = 8, .seed = 15});
-  route::Ipv4Table table4;
-  table4.build(rib4);
+  route::Ipv4Fib fib4;
+  for (const auto& p : rib4) fib4.announce(p);
+  fib4.commit();
   const auto pool4 = route::sample_covered_ipv4(rib4, 16384);
 
   const auto sa = crypto::SecurityAssociation::make_test_sa(
@@ -105,15 +107,15 @@ int main() {
   std::printf("%22s %14s %26s\n", "chunks per shading", "system Gbps", "GPU pipeline capacity");
   double cap1 = 0, cap8 = 0;
   for (const u32 gather : {1u, 2u, 4u, 8u}) {
-    const auto r = run_ipv6_gather(table6, pool6, gather);
+    const auto r = run_ipv6_gather(fib6, pool6, gather);
     std::printf("%22u %14.1f %21.1f Mpps\n", gather, r.system_gbps, r.gpu_capacity_mpps);
     if (gather == 1) cap1 = r.gpu_capacity_mpps;
     if (gather == 8) cap8 = r.gpu_capacity_mpps;
   }
 
   std::printf("\n--- concurrent copy and execution (streams) ---\n");
-  const double ipv4_serial = run_ipv4_streams(table4, pool4, 1);
-  const double ipv4_streams = run_ipv4_streams(table4, pool4, 2);
+  const double ipv4_serial = run_ipv4_streams(fib4, pool4, 1);
+  const double ipv4_streams = run_ipv4_streams(fib4, pool4, 2);
   const double ipsec_serial = run_ipsec_streams(sa, 1);
   const double ipsec_streams = run_ipsec_streams(sa, 2);
   std::printf("%-42s %8.1f Gbps\n", "IPv4 (lightweight kernel), 1 stream", ipv4_serial);

@@ -9,7 +9,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "apps/ipv6_forward.hpp"
+#include "apps/dynamic_ipv6.hpp"
 #include "bench/bench_util.hpp"
 #include "core/model_driver.hpp"
 #include "perf/calibration.hpp"
@@ -69,8 +69,9 @@ int main() {
   // threshold (emulated by the model driver's saturated chunks vs a
   // threshold above/below the fill).
   const auto rib = route::generate_ipv6_rib(20'000, 8, 80);
-  route::Ipv6Table table;
-  table.build(rib);
+  route::Ipv6Fib fib;
+  for (const auto& p : rib) fib.announce(p);
+  fib.commit();
 
   auto run_with_threshold = [&](u32 opp_threshold) {
     core::TestbedConfig cfg{.topo = pcie::Topology::paper_server(),
@@ -82,7 +83,7 @@ int main() {
     tcfg.ipv6_dst_pool = route::sample_covered_ipv6(rib, 8192);
     gen::TrafficGen traffic(tcfg);
     testbed.connect_sink(&traffic);
-    apps::Ipv6ForwardApp app(table);
+    apps::DynamicIpv6ForwardApp app(fib);
     core::ModelDriver driver(testbed, &app, rcfg);
     return driver.run(traffic, 20'000);
   };

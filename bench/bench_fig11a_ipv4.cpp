@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "apps/ipv4_forward.hpp"
+#include "apps/dynamic_ipv4.hpp"
 #include "bench/bench_util.hpp"
 #include "core/model_driver.hpp"
 #include "integrity/integrity.hpp"
@@ -13,7 +13,7 @@
 
 namespace {
 
-ps::core::ModelResult run_shaped(const ps::route::Ipv4Table& table,
+ps::core::ModelResult run_shaped(ps::route::Ipv4Fib& fib,
                                  const std::vector<ps::u32>& dst_pool,
                                  ps::gen::TrafficConfig tcfg, bool use_gpu, bool batched,
                                  ps::u64 packets,
@@ -27,18 +27,18 @@ ps::core::ModelResult run_shaped(const ps::route::Ipv4Table& table,
   tcfg.ipv4_dst_pool = dst_pool;
   gen::TrafficGen traffic(tcfg);
   testbed.connect_sink(&traffic);
-  apps::Ipv4ForwardApp app(table);
+  apps::DynamicIpv4ForwardApp app(fib);
   app.set_batched_lookup(batched);
   core::ModelDriver driver(testbed, &app, rcfg);
   if (checker != nullptr) driver.set_integrity(checker);
   return driver.run(traffic, packets);
 }
 
-ps::core::ModelResult run_ipv4(const ps::route::Ipv4Table& table,
+ps::core::ModelResult run_ipv4(ps::route::Ipv4Fib& fib,
                                const std::vector<ps::u32>& dst_pool, ps::u32 frame_size,
                                bool use_gpu, bool batched, ps::u64 packets,
                                ps::integrity::IntegrityChecker* checker = nullptr) {
-  return run_shaped(table, dst_pool, {.frame_size = frame_size, .seed = 7}, use_gpu, batched,
+  return run_shaped(fib, dst_pool, {.frame_size = frame_size, .seed = 7}, use_gpu, batched,
                     packets, checker);
 }
 
@@ -56,20 +56,22 @@ int main(int argc, char** argv) {
   bench::print_note("table: 282,797 synthetic prefixes matching the 2009 RouteViews histogram");
 
   const auto rib = route::generate_ipv4_rib({});  // paper-scale defaults
-  route::Ipv4Table table;
-  table.build(rib);
+  route::Ipv4Fib fib;
+  for (const auto& p : rib) fib.announce(p);
+  fib.commit();
   // Destinations covered by the table, so the router forwards (not drops).
   const auto dst_pool = route::sample_covered_ipv4(rib, 65536);
-  std::printf("prefixes: %zu, >24-bit overflow chunks: %zu\n", table.prefix_count(),
-              table.overflow_chunks());
+  const auto table = fib.snapshot();
+  std::printf("prefixes: %zu, >24-bit overflow chunks: %zu\n", table->prefix_count(),
+              table->overflow_chunks());
 
   const std::vector<u32> sizes =
       smoke ? std::vector<u32>{64} : std::vector<u32>{64, 128, 256, 512, 1024, 1514};
   std::printf("\n%8s %12s %12s\n", "size", "CPU-only", "CPU+GPU");
   double gpu64 = 0, gpu_min = 1e9;
   for (const u32 size : sizes) {
-    const double cpu = run_ipv4(table, dst_pool, size, false, true, packets).input_gbps;
-    const double gpu = run_ipv4(table, dst_pool, size, true, true, packets).input_gbps;
+    const double cpu = run_ipv4(fib, dst_pool, size, false, true, packets).input_gbps;
+    const double gpu = run_ipv4(fib, dst_pool, size, true, true, packets).input_gbps;
     std::printf("%8u %12.1f %12.1f\n", size, cpu, gpu);
     if (size == 64) gpu64 = gpu;
     gpu_min = std::min(gpu_min, gpu);
@@ -79,8 +81,8 @@ int main(int argc, char** argv) {
   // lookup path vs the scalar path it replaced. The scalar number is what
   // the pre-batching code produced, so the BENCH line carries both sides
   // of the regression gate's before/after pair.
-  const auto scalar64 = run_ipv4(table, dst_pool, 64, false, false, packets);
-  const auto batch64 = run_ipv4(table, dst_pool, 64, false, true, packets);
+  const auto scalar64 = run_ipv4(fib, dst_pool, 64, false, false, packets);
+  const auto batch64 = run_ipv4(fib, dst_pool, 64, false, true, packets);
   std::printf("\nCPU-only 64 B ablation: scalar %.2f Mpps, batched %.2f Mpps (%.2fx)\n",
               scalar64.mpps, batch64.mpps, batch64.mpps / scalar64.mpps);
 
@@ -90,7 +92,7 @@ int main(int argc, char** argv) {
   // shrinks with frame size. The bench-smoke gate holds the retention
   // ratio at >= 0.95 (the <= 5% overhead acceptance bound).
   integrity::IntegrityChecker checker;  // default config
-  const auto integ64 = run_ipv4(table, dst_pool, 64, false, true, packets, &checker);
+  const auto integ64 = run_ipv4(fib, dst_pool, 64, false, true, packets, &checker);
   const double retention = batch64.mpps > 0 ? integ64.mpps / batch64.mpps : 0.0;
   std::printf("CPU-only 64 B integrity ablation: off %.2f Mpps, on %.2f Mpps (retention %.3f)\n",
               batch64.mpps, integ64.mpps, retention);
@@ -101,9 +103,9 @@ int main(int argc, char** argv) {
   // still drawn from the covered pool, so every packet forwards). Both
   // are deterministic model metrics — imix_mpps / zipf1m_mpps are what
   // the nightly bench gate diffs.
-  const auto imix = run_shaped(table, dst_pool, {.seed = 7, .size_dist = gen::SizeDist::kImix},
+  const auto imix = run_shaped(fib, dst_pool, {.seed = 7, .size_dist = gen::SizeDist::kImix},
                                true, true, packets);
-  const auto zipf1m = run_shaped(table, dst_pool,
+  const auto zipf1m = run_shaped(fib, dst_pool,
                                  {.frame_size = 64,
                                   .seed = 7,
                                   .flow_count = 1'000'000,

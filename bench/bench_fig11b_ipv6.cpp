@@ -10,14 +10,14 @@
 #include <cstdio>
 #include <cstring>
 
-#include "apps/ipv6_forward.hpp"
+#include "apps/dynamic_ipv6.hpp"
 #include "bench/bench_util.hpp"
 #include "core/model_driver.hpp"
 #include "route/rib_gen.hpp"
 
 namespace {
 
-double run_ipv6(const ps::route::Ipv6Table& table,
+double run_ipv6(ps::route::Ipv6Fib& fib,
                 const std::vector<ps::net::Ipv6Addr>& dst_pool, ps::u32 frame_size,
                 bool use_gpu) {
   using namespace ps;
@@ -31,7 +31,7 @@ double run_ipv6(const ps::route::Ipv6Table& table,
   tcfg.ipv6_dst_pool = dst_pool;
   gen::TrafficGen traffic(tcfg);
   testbed.connect_sink(&traffic);
-  apps::Ipv6ForwardApp app(table);
+  apps::DynamicIpv6ForwardApp app(fib);
   core::ModelDriver driver(testbed, &app, rcfg);
   return driver.run(traffic, 80'000).input_gbps;
 }
@@ -48,9 +48,11 @@ int main(int argc, char** argv) {
   bench::print_note("table: 200,000 random prefixes; lookup = binary search on prefix length");
 
   const auto rib = route::generate_ipv6_rib(route::kPaperIpv6PrefixCount, 8, 2010);
-  route::Ipv6Table table;
-  table.build(rib);
-  std::printf("prefixes: %zu, markers: %zu\n", table.prefix_count(), table.marker_count());
+  route::Ipv6Fib fib;
+  for (const auto& p : rib) fib.announce(p);
+  fib.commit();
+  const auto table = fib.snapshot();
+  std::printf("prefixes: %zu, markers: %zu\n", table->prefix_count(), table->marker_count());
   const auto dst_pool = route::sample_covered_ipv6(rib, 65536);
 
   // IPv6/UDP frames need >= 62 B; 64 B is still the paper's smallest size.
@@ -59,8 +61,8 @@ int main(int argc, char** argv) {
   std::printf("\n%8s %12s %12s\n", "size", "CPU-only", "CPU+GPU");
   double cpu64 = 0, gpu64 = 0;
   for (const u32 size : sizes) {
-    const double cpu = run_ipv6(table, dst_pool, size, false);
-    const double gpu = run_ipv6(table, dst_pool, size, true);
+    const double cpu = run_ipv6(fib, dst_pool, size, false);
+    const double gpu = run_ipv6(fib, dst_pool, size, true);
     std::printf("%8u %12.1f %12.1f\n", size, cpu, gpu);
     if (size == 64) {
       cpu64 = cpu;

@@ -24,7 +24,7 @@
 #include <thread>
 #include <vector>
 
-#include "apps/ipv6_forward.hpp"
+#include "apps/dynamic_ipv6.hpp"
 #include "bench/bench_util.hpp"
 #include "core/router.hpp"
 #include "core/testbed.hpp"
@@ -102,10 +102,10 @@ double latency_us(const Config& cfg, double offered_gbps) {
 /// stages are stamped by the router itself (PipelineTracer), not by
 /// ad-hoc timers in this bench.
 telemetry::StageBreakdown measure_stage_breakdown() {
-  const route::Ipv6Prefix default_route{net::Ipv6Addr{}, 0, 1};
-  route::Ipv6Table table;
-  table.build({&default_route, 1});
-  apps::Ipv6ForwardApp app(table);
+  route::Ipv6Fib fib;
+  fib.announce({net::Ipv6Addr{}, 0, 1});  // default route
+  fib.commit();
+  apps::DynamicIpv6ForwardApp app(fib);
 
   core::Testbed testbed({.topo = pcie::Topology::single_node(),
                          .use_gpu = true,

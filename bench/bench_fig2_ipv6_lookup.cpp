@@ -15,11 +15,11 @@ int main() {
   bench::print_header("Figure 2", "IPv6 lookup throughput (Mpps) vs batch size, no packet I/O");
   bench::print_note("table: 200,000 random prefixes (paper section 6.2.2)");
 
-  // Build the real table and flatten it for the device, as the router does.
+  // Build the real table; its flat layout is what the router uploads.
   const auto rib = route::generate_ipv6_rib(route::kPaperIpv6PrefixCount, 8, 2010);
   route::Ipv6Table table;
   table.build(rib);
-  const auto flat = table.flatten();
+  const auto& flat = table.flat();
 
   pcie::Topology topo = pcie::Topology::paper_server();
   gpu::GpuDevice device(0, topo, std::make_shared<gpu::SimtExecutor>());

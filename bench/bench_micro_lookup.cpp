@@ -93,7 +93,7 @@ void BM_Ipv6FlatLookup(benchmark::State& state) {
   static const route::Ipv6FlatTable flat = [] {
     route::Ipv6Table t;
     t.build(rib);
-    return t.flatten();
+    return t.flat();
   }();
 
   Rng rng(3);
@@ -112,7 +112,7 @@ void BM_Ipv6FlatLookupBatch(benchmark::State& state) {
   static const route::Ipv6FlatTable flat = [] {
     route::Ipv6Table t;
     t.build(rib);
-    return t.flatten();
+    return t.flat();
   }();
 
   const auto batch = static_cast<std::size_t>(state.range(0));
@@ -306,7 +306,7 @@ void run_batch_harness(bool smoke) {
   const auto rib6 = route::generate_ipv6_rib(route::kPaperIpv6PrefixCount, 8, 2010);
   route::Ipv6Table table6;
   table6.build(rib6);
-  const route::Ipv6FlatTable flat = table6.flatten();
+  const route::Ipv6FlatTable& flat = table6.flat();
   const auto pool6 = route::sample_covered_ipv6(rib6, 65536);
   Rng rng6(13);
   std::vector<u64> keys6(2 * v6_keys);

@@ -2,9 +2,10 @@
 // GPU offload, and a slow-path host stack — the section 7 extensions
 // working together on the real threaded runtime.
 //
-//  - IPv4 via DynamicIpv4ForwardApp (routes come from an Ipv4Fib; we
-//    re-route mid-run and the change takes effect without stopping);
-//  - IPv6 via Ipv6ForwardApp, composed with MultiProtocolApp;
+//  - IPv4 and IPv6 via the FIB-backed forwarding apps, composed with
+//    MultiProtocolApp: routes come from an Ipv4Fib / Ipv6Fib; we re-route
+//    IPv4 mid-run and the change takes effect without stopping, while the
+//    IPv6 FIB is committed once and never updated (a static table);
 //  - TTL-expired packets answered with real ICMP Time Exceeded replies;
 //  - the liveness layer at work: a worker thread is wedged mid-run by a
 //    fault point, the heartbeat supervisor detects it, a peer adopts its
@@ -14,7 +15,7 @@
 #include <thread>
 
 #include "apps/dynamic_ipv4.hpp"
-#include "apps/ipv6_forward.hpp"
+#include "apps/dynamic_ipv6.hpp"
 #include "apps/multi_app.hpp"
 #include "core/router.hpp"
 #include "core/testbed.hpp"
@@ -35,11 +36,12 @@ int main() {
   fib.commit();
   apps::DynamicIpv4ForwardApp v4(fib);
 
-  // Static IPv6 table.
+  // IPv6 routes: a FIB committed once and never updated again.
+  route::Ipv6Fib fib6;
   const auto rib6 = route::generate_ipv6_rib(20'000, 8, 123);
-  route::Ipv6Table table6;
-  table6.build(rib6);
-  apps::Ipv6ForwardApp v6(table6);
+  for (const auto& p : rib6) fib6.announce(p);
+  fib6.commit();
+  apps::DynamicIpv6ForwardApp v6(fib6);
 
   apps::MultiProtocolApp multi;
   multi.add_protocol(net::EtherType::kIpv4, &v4);

@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <thread>
 
-#include "apps/ipv4_forward.hpp"
+#include "apps/dynamic_ipv4.hpp"
 #include "core/router.hpp"
 #include "core/testbed.hpp"
 #include "gen/traffic.hpp"
@@ -21,10 +21,11 @@ int main() {
   // RouteViews-scale synthetic RIB (282,797 prefixes).
   std::printf("building forwarding table...\n");
   const auto rib = route::generate_ipv4_rib({});
-  route::Ipv4Table table;
-  table.build(rib);
-  std::printf("  %zu prefixes, %zu >24-bit overflow chunks\n\n", table.prefix_count(),
-              table.overflow_chunks());
+  route::Ipv4Fib fib;
+  for (const auto& p : rib) fib.announce(p);
+  fib.commit();
+  std::printf("  %zu prefixes, %zu >24-bit overflow chunks\n\n", fib.snapshot()->prefix_count(),
+              fib.snapshot()->overflow_chunks());
 
   core::TestbedConfig config;
   config.topo = pcie::Topology::paper_server();
@@ -36,7 +37,7 @@ int main() {
   gen::TrafficGen traffic(tcfg);
   testbed.connect_sink(&traffic);
 
-  apps::Ipv4ForwardApp app(table);
+  apps::DynamicIpv4ForwardApp app(fib);
   core::RouterConfig router_config;
   router_config.pipeline_depth = 4;
   router_config.gather_max = 8;

@@ -5,7 +5,7 @@
 // No GPU, no threads — just the public API end to end.
 #include <cstdio>
 
-#include "apps/ipv4_forward.hpp"
+#include "apps/dynamic_ipv4.hpp"
 #include "core/model_driver.hpp"
 #include "core/testbed.hpp"
 #include "gen/traffic.hpp"
@@ -24,19 +24,19 @@ int main() {
   gen::TrafficGen traffic({.frame_size = 64, .seed = 1});
   testbed.connect_sink(&traffic);
 
-  // 3. Three routes: two specific prefixes and a default.
-  route::Ipv4Table table;
-  const route::Ipv4Prefix routes[] = {
-      {net::Ipv4Addr::parse("10.0.0.0").value(), 8, /*next hop port*/ 1},
-      {net::Ipv4Addr::parse("192.168.0.0").value(), 16, 2},
-      {net::Ipv4Addr(0), 0, 3},  // default route
-  };
-  table.build(routes);
+  // 3. Three routes: two specific prefixes and a default. The FIB takes
+  //    route changes at any time; a table that never changes is simply a
+  //    FIB that is committed once.
+  route::Ipv4Fib fib;
+  fib.announce({net::Ipv4Addr::parse("10.0.0.0").value(), 8, /*next hop port*/ 1});
+  fib.announce({net::Ipv4Addr::parse("192.168.0.0").value(), 16, 2});
+  fib.announce({net::Ipv4Addr(0), 0, 3});  // default route
+  fib.commit();
   std::printf("installed %zu routes (DIR-24-8: %zu overflow chunks)\n",
-              table.prefix_count(), table.overflow_chunks());
+              fib.snapshot()->prefix_count(), fib.snapshot()->overflow_chunks());
 
   // 4. The IPv4 forwarding application on the CPU path.
-  apps::Ipv4ForwardApp app(table);
+  apps::DynamicIpv4ForwardApp app(fib);
   core::ModelDriver driver(testbed, &app, core::RouterConfig{.use_gpu = false});
 
   // 5. Push packets through and look at the results.

@@ -1,18 +1,36 @@
 #include "apps/dynamic_ipv4.hpp"
 
 #include <cassert>
-#include <cstring>
 
-#include "apps/classify.hpp"
+#include "apps/forwarding.hpp"
 #include "net/checksum.hpp"
 #include "perf/calibration.hpp"
 #include "perf/ledger.hpp"
 
 namespace ps::apps {
 
+namespace {
+
+/// Classify packet `i` and, when it takes the fast path, decrement its TTL.
+bool classify_and_rewrite(iengine::PacketChunk& chunk, u32 i) {
+  net::PacketView view;
+  if (classify_l3(chunk, i, net::EtherType::kIpv4, view) != FastPathClass::kEligible) {
+    return false;
+  }
+  net::ipv4_decrement_ttl(view.ipv4());
+  return true;
+}
+
+}  // namespace
+
 DynamicIpv4ForwardApp::DynamicIpv4ForwardApp(route::Ipv4Fib& fib) : fib_(fib) {}
 
 void DynamicIpv4ForwardApp::upload(GpuState& st, int slot, const route::Ipv4Table& table) {
+  if (!st.tbl24[slot].valid()) {
+    st.tbl24[slot] = st.device->alloc((1u << 24) * sizeof(u16));
+    st.tbl_long[slot] = st.device->alloc(static_cast<std::size_t>(kMaxOverflowChunks) *
+                                         route::Ipv4Table::kChunk * sizeof(u16));
+  }
   const auto tbl24 = table.tbl24();
   st.device->memcpy_h2d(st.tbl24[slot], 0,
                         {reinterpret_cast<const u8*>(tbl24.data()), tbl24.size_bytes()});
@@ -29,12 +47,6 @@ void DynamicIpv4ForwardApp::bind_gpu(gpu::GpuDevice& device) {
   if (gpu_state_.contains(device.gpu_id())) return;
   auto st = std::make_unique<GpuState>();
   st->device = &device;
-  for (int slot = 0; slot < 2; ++slot) {
-    st->tbl24[slot] = device.alloc((1u << 24) * sizeof(u16));
-    st->tbl_long[slot] =
-        device.alloc(static_cast<std::size_t>(kMaxOverflowChunks) * route::Ipv4Table::kChunk *
-                     sizeof(u16));
-  }
   st->input = device.alloc(kMaxBatchItems * sizeof(u32));
   st->output = device.alloc(kMaxBatchItems * sizeof(u16));
 
@@ -68,11 +80,7 @@ void DynamicIpv4ForwardApp::pre_shade(core::ShaderJob& job) {
   job.gpu_input.reserve(chunk.count() * sizeof(u32));
   for (u32 i = 0; i < chunk.count(); ++i) {
     perf::charge_cpu_cycles(perf::kPreShadingCyclesPerPacket);
-    net::PacketView view;
-    if (classify_l3(chunk, i, net::EtherType::kIpv4, view) != FastPathClass::kEligible) {
-      continue;
-    }
-    net::ipv4_decrement_ttl(view.ipv4());
+    if (!classify_and_rewrite(chunk, i)) continue;
     const u32 dst = chunk_view_dst(chunk, i);
     const auto* bytes = reinterpret_cast<const u8*>(&dst);
     job.gpu_input.insert(job.gpu_input.end(), bytes, bytes + sizeof(u32));
@@ -86,98 +94,62 @@ core::ShadeOutcome DynamicIpv4ForwardApp::shade(core::GpuContext& gpu,
                                                 Picos submit_time) {
   auto& st = *gpu_state_.at(gpu.device->gpu_id());
   const int slot = st.active.load(std::memory_order_acquire);
-
-  u32 total = 0;
-  for (auto* job : jobs) {
-    if (job->gpu_items == 0) continue;
-    assert(total + job->gpu_items <= kMaxBatchItems);
-    const auto h2d = gpu.device->memcpy_h2d(st.input, total * sizeof(u32), job->gpu_input,
-                                            gpu::kDefaultStream, submit_time);
-    if (!h2d.ok()) return {h2d.status, h2d.end};
-    total += job->gpu_items;
-  }
-  if (total == 0) return {gpu::GpuStatus::kOk, submit_time};
-
   const u16* tbl24 = st.tbl24[slot].as<const u16>();
   const u16* tbl_long = st.tbl_long[slot].as<const u16>();
-  const u32* in = st.input.as<const u32>();
-  u16* out = st.output.as<u16>();
-
-  gpu::KernelLaunch kernel{
-      .name = "ipv4_lookup_dynamic",
-      .threads = total,
-      .body =
-          [=](gpu::ThreadCtx& ctx) {
-            const u32 tid = ctx.thread_id();
-            out[tid] = route::Ipv4Table::lookup_in_arrays(tbl24, tbl_long, in[tid]);
-          },
-      .cost = {.instructions = perf::kGpuIpv4LookupInstr, .mem_accesses = 1.05},
+  const auto make_kernel = [&](u32 offset, u32 items) {
+    const u32* in = st.input.as<const u32>() + offset;
+    u16* out = st.output.as<u16>() + offset;
+    return gpu::KernelLaunch{
+        .name = "ipv4_lookup",
+        .threads = items,
+        .body =
+            [=](gpu::ThreadCtx& ctx) {
+              const u32 tid = ctx.thread_id();
+              out[tid] = route::Ipv4Table::lookup_in_arrays(tbl24, tbl_long, in[tid]);
+            },
+        // One table probe for ~97% of packets, two for prefixes >/24.
+        .cost = {.instructions = perf::kGpuIpv4LookupInstr, .mem_accesses = 1.05},
+    };
   };
-  const auto k = gpu.device->launch(kernel, gpu::kDefaultStream, submit_time);
-  if (!k.ok()) return {k.status, k.end};
-
-  u32 offset = 0;
-  Picos done = submit_time;
-  for (auto* job : jobs) {
-    if (job->gpu_items == 0) continue;
-    job->gpu_output.resize(job->gpu_items * sizeof(u16));
-    const auto timing = gpu.device->memcpy_d2h(job->gpu_output, st.output,
-                                               offset * sizeof(u16), gpu::kDefaultStream,
-                                               submit_time);
-    if (!timing.ok()) return {timing.status, timing.end};
-    done = std::max(done, timing.end);
-    offset += job->gpu_items;
-  }
-  return {gpu::GpuStatus::kOk, done};
+  return shade_lookups(gpu, jobs, submit_time, st.input, sizeof(u32), st.output, sizeof(u16),
+                       make_kernel);
 }
 
 void DynamicIpv4ForwardApp::shade_cpu(core::ShaderJob& job) {
-  // Lock-free: pin an epoch and read the published generation directly —
-  // no mutex, no ref-count bump on the per-packet path.
+  // Same computation as the kernel, host tables, no header rewrites. The
+  // gathered input is already a dense key array, so the whole job goes
+  // through one batched lookup. Lock-free: pin an epoch and read the
+  // published generation directly.
   const auto table = fib_.read();
-  const auto* in = reinterpret_cast<const u32*>(job.gpu_input.data());
   job.gpu_output.resize(job.gpu_items * sizeof(u16));
-  auto* out = reinterpret_cast<u16*>(job.gpu_output.data());
-  for (u32 k = 0; k < job.gpu_items; ++k) {
-    perf::charge_cpu_cycles(perf::kCpuIpv4LookupCycles);
-    out[k] = table->lookup(net::Ipv4Addr(in[k]));
-  }
+  perf::charge_cpu_cycles(job.gpu_items * perf::kCpuIpv4LookupBatchCycles);
+  table->lookup_batch(reinterpret_cast<const u32*>(job.gpu_input.data()),
+                      reinterpret_cast<u16*>(job.gpu_output.data()), job.gpu_items);
 }
 
-void DynamicIpv4ForwardApp::post_shade(core::ShaderJob& job) {
-  auto& chunk = job.chunk;
-  const auto* next_hops = reinterpret_cast<const u16*>(job.gpu_output.data());
-  for (u32 k = 0; k < job.gpu_items; ++k) {
-    perf::charge_cpu_cycles(perf::kPostShadingCyclesPerPacket);
-    const u32 i = job.gpu_index[k];
-    const route::NextHop nh = next_hops[k];
-    if (nh == route::kNoRoute) {
-      chunk.set_drop(i, iengine::DropReason::kNoRoute);
-    } else {
-      chunk.set_out_port(i, static_cast<i16>(nh));
-    }
-  }
-}
+void DynamicIpv4ForwardApp::post_shade(core::ShaderJob& job) { scatter_next_hops(job); }
 
 void DynamicIpv4ForwardApp::process_cpu(iengine::PacketChunk& chunk) {
   // One epoch pin per chunk: routes may change between chunks, never
   // within one, and the pin is dropped at chunk end so reclamation of
   // older generations is never blocked for long.
   const auto table = fib_.read();
-  for (u32 i = 0; i < chunk.count(); ++i) {
-    perf::charge_cpu_cycles(perf::kCpuIpv4LookupCycles);
-    net::PacketView view;
-    if (classify_l3(chunk, i, net::EtherType::kIpv4, view) != FastPathClass::kEligible) {
-      continue;
+  if (!batched_lookup_) {
+    for (u32 i = 0; i < chunk.count(); ++i) {
+      perf::charge_cpu_cycles(perf::kCpuIpv4LookupCycles);
+      if (!classify_and_rewrite(chunk, i)) continue;
+      apply_next_hop(chunk, i, table->lookup(net::Ipv4Addr(chunk_view_dst(chunk, i))));
     }
-    net::ipv4_decrement_ttl(view.ipv4());
-    const route::NextHop nh = table->lookup(net::Ipv4Addr(chunk_view_dst(chunk, i)));
-    if (nh == route::kNoRoute) {
-      chunk.set_drop(i, iengine::DropReason::kNoRoute);
-    } else {
-      chunk.set_out_port(i, static_cast<i16>(nh));
-    }
+    return;
   }
+  process_lookups<u32, 1>(
+      chunk,
+      [&](u32 i) {
+        perf::charge_cpu_cycles(perf::kCpuIpv4LookupBatchCycles);
+        return classify_and_rewrite(chunk, i);
+      },
+      [&](u32* key, u32 i) { *key = chunk_view_dst(chunk, i); },
+      [&](const u32* keys, route::NextHop* nhs, u32 n) { table->lookup_batch(keys, nhs, n); });
 }
 
 }  // namespace ps::apps

@@ -1,12 +1,18 @@
-// IPv4 forwarding with a live control plane (section 7): routes come from
-// a route::Ipv4Fib and can change while the router forwards.
+// IPv4 forwarding (section 6.2.1): DIR-24-8 longest-prefix match,
+// GPU-offloaded, over a route::Ipv4Fib whose routes may change while the
+// router forwards (section 7). A static table is a FIB that never
+// receives an update. The pre-shader classifies/rewrites and gathers
+// destination addresses; the GPU kernel performs the table lookup; the
+// post-shader scatters packets to egress ports.
 //
-// Host side, the data path works on per-chunk snapshots (shared_ptr double
-// buffering). Device side, each GPU holds TWO copies of the DIR-24-8
+// Host side, the data path pins one FIB generation per chunk (epoch read,
+// no lock). Device side, each GPU holds up to TWO copies of the DIR-24-8
 // arrays; sync() uploads a new FIB generation into the standby copy and
 // flips an atomic index, so kernels never observe a half-written table —
 // the "update forwarding table in GPU memory without disturbing the
-// data-path" problem the paper calls out, solved the way it suggests.
+// data-path" problem the paper calls out, solved the way it suggests. A
+// copy is allocated on its first upload, so a FIB that never changes
+// holds one copy per GPU.
 #pragma once
 
 #include <atomic>
@@ -21,9 +27,10 @@ namespace ps::apps {
 
 class DynamicIpv4ForwardApp final : public core::Shader {
  public:
+  /// `fib` must outlive the app.
   explicit DynamicIpv4ForwardApp(route::Ipv4Fib& fib);
 
-  const char* name() const override { return "ipv4-forward-dynamic"; }
+  const char* name() const override { return "ipv4-forward"; }
   void bind_gpu(gpu::GpuDevice& device) override;
   void pre_shade(core::ShaderJob& job) override;
   core::ShadeOutcome shade(core::GpuContext& gpu, std::span<core::ShaderJob* const> jobs,
@@ -38,6 +45,12 @@ class DynamicIpv4ForwardApp final : public core::Shader {
   /// devices refreshed.
   int sync();
 
+  /// Ablation switch for benchmarking: when off, process_cpu uses the
+  /// scalar per-packet lookup, the paper's CPU-only baseline. shade_cpu
+  /// always uses the batched lookup. On by default.
+  void set_batched_lookup(bool on) { batched_lookup_ = on; }
+
+  /// Maximum GPU-eligible packets per shading batch.
   static constexpr u32 kMaxBatchItems = 65536;
   /// Device capacity for >24-bit overflow chunks (per table copy).
   static constexpr u32 kMaxOverflowChunks = 32768;
@@ -47,8 +60,8 @@ class DynamicIpv4ForwardApp final : public core::Shader {
     gpu::GpuDevice* device = nullptr;
     gpu::DeviceBuffer tbl24[2];
     gpu::DeviceBuffer tbl_long[2];
-    gpu::DeviceBuffer input;
-    gpu::DeviceBuffer output;
+    gpu::DeviceBuffer input;   // u32 dst addresses
+    gpu::DeviceBuffer output;  // u16 next hops
     // mc: app.dyn.active -- double-buffer slot index; release swap after upload
     ps::atomic<int> active{0};
     u64 generation = 0;  // FIB generation loaded into the active copy
@@ -58,6 +71,7 @@ class DynamicIpv4ForwardApp final : public core::Shader {
 
   route::Ipv4Fib& fib_;
   std::unordered_map<int, std::unique_ptr<GpuState>> gpu_state_;
+  bool batched_lookup_ = true;
 };
 
 }  // namespace ps::apps

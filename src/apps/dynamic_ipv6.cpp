@@ -1,9 +1,6 @@
 #include "apps/dynamic_ipv6.hpp"
 
-#include <cassert>
-#include <cstring>
-
-#include "apps/classify.hpp"
+#include "apps/forwarding.hpp"
 #include "perf/calibration.hpp"
 #include "perf/ledger.hpp"
 
@@ -11,10 +8,15 @@ namespace ps::apps {
 
 namespace {
 
-perf::KernelCost ipv6_kernel_cost() {
-  return {.instructions = 7 * perf::kGpuIpv6LookupInstrPerProbe,
-          .mem_accesses = 7.0,
-          .bytes_per_access = 48};
+/// Classify packet `i` and, when it takes the fast path, decrement its hop
+/// limit (no checksum in the IPv6 header).
+bool classify_and_rewrite(iengine::PacketChunk& chunk, u32 i) {
+  net::PacketView view;
+  if (classify_l3(chunk, i, net::EtherType::kIpv6, view) != FastPathClass::kEligible) {
+    return false;
+  }
+  view.ipv6().hop_limit -= 1;
+  return true;
 }
 
 }  // namespace
@@ -54,8 +56,8 @@ void DynamicIpv6ForwardApp::bind_gpu(gpu::GpuDevice& device) {
   st->input = device.alloc(kMaxBatchItems * 16);
   st->output = device.alloc(kMaxBatchItems * sizeof(u16));
 
-  const auto flat = fib_.snapshot()->flatten();
-  upload(*st, 0, flat);
+  const auto snapshot = fib_.snapshot();
+  upload(*st, 0, snapshot->flat());
   st->generation = fib_.generation();
   st->active.store(0, std::memory_order_release);
   gpu_state_.emplace(device.gpu_id(), std::move(st));
@@ -63,17 +65,12 @@ void DynamicIpv6ForwardApp::bind_gpu(gpu::GpuDevice& device) {
 
 int DynamicIpv6ForwardApp::sync() {
   const u64 generation = fib_.generation();
+  const auto snapshot = fib_.snapshot();
   int refreshed = 0;
-  std::shared_ptr<const route::Ipv6Table> snapshot;
-  std::unique_ptr<route::Ipv6FlatTable> flat;
   for (auto& [id, st] : gpu_state_) {
     if (st->generation == generation) continue;
-    if (!flat) {
-      snapshot = fib_.snapshot();
-      flat = std::make_unique<route::Ipv6FlatTable>(snapshot->flatten());
-    }
     const int standby = 1 - st->active.load(std::memory_order_acquire);
-    upload(*st, standby, *flat);
+    upload(*st, standby, snapshot->flat());
     st->active.store(standby, std::memory_order_release);
     st->generation = generation;
     ++refreshed;
@@ -86,11 +83,8 @@ void DynamicIpv6ForwardApp::pre_shade(core::ShaderJob& job) {
   job.gpu_input.reserve(chunk.count() * 16);
   for (u32 i = 0; i < chunk.count(); ++i) {
     perf::charge_cpu_cycles(perf::kPreShadingCyclesPerPacket);
-    net::PacketView view;
-    if (classify_l3(chunk, i, net::EtherType::kIpv6, view) != FastPathClass::kEligible) {
-      continue;
-    }
-    view.ipv6().hop_limit -= 1;
+    if (!classify_and_rewrite(chunk, i)) continue;
+    // Gather hi/lo words in host order, the layout the kernel consumes.
     const u8* dst = chunk_view_dst6(chunk, i);
     const u64 hi = load_be64(dst);
     const u64 lo = load_be64(dst + 8);
@@ -107,105 +101,75 @@ core::ShadeOutcome DynamicIpv6ForwardApp::shade(core::GpuContext& gpu,
                                                 std::span<core::ShaderJob* const> jobs,
                                                 Picos submit_time) {
   auto& st = *gpu_state_.at(gpu.device->gpu_id());
-  const int slot = st.active.load(std::memory_order_acquire);
-  const auto& copy = st.copies[slot];
-
-  u32 total = 0;
-  for (auto* job : jobs) {
-    if (job->gpu_items == 0) continue;
-    assert(total + job->gpu_items <= kMaxBatchItems);
-    const auto h2d = gpu.device->memcpy_h2d(st.input, static_cast<std::size_t>(total) * 16,
-                                            job->gpu_input, gpu::kDefaultStream, submit_time);
-    if (!h2d.ok()) return {h2d.status, h2d.end};
-    total += job->gpu_items;
-  }
-  if (total == 0) return {gpu::GpuStatus::kOk, submit_time};
-
+  const auto& copy = st.copies[st.active.load(std::memory_order_acquire)];
   const auto* slots = copy.slots.as<const route::Ipv6FlatTable::Slot>();
   const auto* offsets = copy.offsets.as<const u32>();
   const auto* masks = copy.masks.as<const u32>();
   const route::NextHop default_nh = copy.default_nh;
-  const u64* in = st.input.as<const u64>();
-  u16* out = st.output.as<u16>();
-
-  gpu::KernelLaunch kernel{
-      .name = "ipv6_lookup_dynamic",
-      .threads = total,
-      .body =
-          [=](gpu::ThreadCtx& ctx) {
-            const u32 tid = ctx.thread_id();
-            out[tid] = route::Ipv6FlatTable::lookup_in_arrays(
-                slots, offsets, masks, in[tid * 2], in[tid * 2 + 1], default_nh);
-          },
-      .cost = ipv6_kernel_cost(),
+  const auto make_kernel = [&](u32 offset, u32 items) {
+    const u64* in = st.input.as<const u64>() + std::size_t{offset} * 2;
+    u16* out = st.output.as<u16>() + offset;
+    return gpu::KernelLaunch{
+        .name = "ipv6_lookup",
+        .threads = items,
+        .body =
+            [=](gpu::ThreadCtx& ctx) {
+              const u32 tid = ctx.thread_id();
+              out[tid] = route::Ipv6FlatTable::lookup_in_arrays(
+                  slots, offsets, masks, in[tid * 2], in[tid * 2 + 1], default_nh);
+            },
+        // Seven dependent hash probes per lookup, each a random device-
+        // memory access (section 6.2.2); a probe touches a 24 B slot that
+        // straddles GDDR5 segments, so ~1.5 segments of bandwidth per probe.
+        .cost = {.instructions = 7 * perf::kGpuIpv6LookupInstrPerProbe,
+                 .mem_accesses = 7.0,
+                 .bytes_per_access = 48},
+    };
   };
-  const auto k = gpu.device->launch(kernel, gpu::kDefaultStream, submit_time);
-  if (!k.ok()) return {k.status, k.end};
-
-  u32 offset = 0;
-  Picos done = submit_time;
-  for (auto* job : jobs) {
-    if (job->gpu_items == 0) continue;
-    job->gpu_output.resize(job->gpu_items * sizeof(u16));
-    const auto timing = gpu.device->memcpy_d2h(
-        job->gpu_output, st.output, static_cast<std::size_t>(offset) * sizeof(u16),
-        gpu::kDefaultStream, submit_time);
-    if (!timing.ok()) return {timing.status, timing.end};
-    done = std::max(done, timing.end);
-    offset += job->gpu_items;
-  }
-  return {gpu::GpuStatus::kOk, done};
+  return shade_lookups(gpu, jobs, submit_time, st.input, 16, st.output, sizeof(u16),
+                       make_kernel);
 }
 
 void DynamicIpv6ForwardApp::shade_cpu(core::ShaderJob& job) {
-  // Lock-free read: epoch pin + published-generation load, no mutex.
+  // Lock-free read: epoch pin + published-generation load, no mutex. The
+  // gathered input is already the interleaved (hi, lo) layout the batch
+  // API consumes; one interleaved walk resolves the whole job.
   const auto table = fib_.read();
   const auto* in = reinterpret_cast<const u64*>(job.gpu_input.data());
   job.gpu_output.resize(job.gpu_items * sizeof(u16));
   auto* out = reinterpret_cast<u16*>(job.gpu_output.data());
-  for (u32 k = 0; k < job.gpu_items; ++k) {
-    int probes = 0;
-    out[k] = table->lookup(net::Ipv6Addr::from_words(in[k * 2], in[k * 2 + 1]), &probes);
-    perf::charge_cpu_cycles(probes * perf::kCpuIpv6LookupCyclesPerProbe);
-  }
+  u64 probes = 0;
+  table->flat().lookup_batch(in, out, job.gpu_items, &probes);
+  perf::charge_cpu_cycles(static_cast<double>(probes) *
+                          perf::kCpuIpv6LookupBatchCyclesPerProbe);
 }
 
-void DynamicIpv6ForwardApp::post_shade(core::ShaderJob& job) {
-  auto& chunk = job.chunk;
-  const auto* next_hops = reinterpret_cast<const u16*>(job.gpu_output.data());
-  for (u32 k = 0; k < job.gpu_items; ++k) {
-    perf::charge_cpu_cycles(perf::kPostShadingCyclesPerPacket);
-    const u32 i = job.gpu_index[k];
-    const route::NextHop nh = next_hops[k];
-    if (nh == route::kNoRoute) {
-      chunk.set_drop(i, iengine::DropReason::kNoRoute);
-    } else {
-      chunk.set_out_port(i, static_cast<i16>(nh));
-    }
-  }
-}
+void DynamicIpv6ForwardApp::post_shade(core::ShaderJob& job) { scatter_next_hops(job); }
 
 void DynamicIpv6ForwardApp::process_cpu(iengine::PacketChunk& chunk) {
   // One epoch pin per chunk; dropped at chunk end so reclamation flows.
+  // Eligible destinations are gathered as interleaved hi/lo words, and the
+  // batch API accumulates the probe count each block is charged for.
   const auto table = fib_.read();
-  for (u32 i = 0; i < chunk.count(); ++i) {
-    net::PacketView view;
-    if (classify_l3(chunk, i, net::EtherType::kIpv6, view) != FastPathClass::kEligible) {
-      perf::charge_cpu_cycles(perf::kCpuIpv6LookupCyclesPerProbe);
-      continue;
-    }
-    view.ipv6().hop_limit -= 1;
-    const u8* dst = chunk_view_dst6(chunk, i);
-    int probes = 0;
-    const route::NextHop nh =
-        table->lookup(net::Ipv6Addr::from_words(load_be64(dst), load_be64(dst + 8)), &probes);
-    perf::charge_cpu_cycles(probes * perf::kCpuIpv6LookupCyclesPerProbe);
-    if (nh == route::kNoRoute) {
-      chunk.set_drop(i, iengine::DropReason::kNoRoute);
-    } else {
-      chunk.set_out_port(i, static_cast<i16>(nh));
-    }
-  }
+  const route::Ipv6FlatTable& flat = table->flat();
+  process_lookups<u64, 2>(
+      chunk,
+      [&](u32 i) {
+        if (classify_and_rewrite(chunk, i)) return true;
+        perf::charge_cpu_cycles(perf::kCpuIpv6LookupBatchCyclesPerProbe);
+        return false;
+      },
+      [&](u64* key, u32 i) {
+        const u8* dst = chunk_view_dst6(chunk, i);
+        key[0] = load_be64(dst);
+        key[1] = load_be64(dst + 8);
+      },
+      [&](const u64* keys, route::NextHop* nhs, u32 n) {
+        u64 probes = 0;
+        flat.lookup_batch(keys, nhs, n, &probes);
+        perf::charge_cpu_cycles(static_cast<double>(probes) *
+                                perf::kCpuIpv6LookupBatchCyclesPerProbe);
+      });
 }
 
 }  // namespace ps::apps

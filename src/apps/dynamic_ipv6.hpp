@@ -1,8 +1,14 @@
-// IPv6 forwarding with a live control plane — the IPv6 counterpart of
-// DynamicIpv4ForwardApp. The flattened per-length hash tables are double-
-// buffered on every GPU; sync() uploads a committed FIB generation into
-// the standby copy (growing it if the table outgrew its reservation) and
-// flips atomically.
+// IPv6 forwarding (section 6.2.2): binary search on prefix lengths, seven
+// hash probes per lookup — the memory-intensive workload where GPU
+// acceleration pays off most (Figure 11(b)) — over a route::Ipv6Fib whose
+// routes may change while the router forwards (section 7). A static table
+// is a FIB that never receives an update.
+//
+// Every FIB generation carries its flattened per-length hash tables
+// (Ipv6Table::flat()): the CPU paths walk them on the pinned generation,
+// and each GPU holds up to two device copies of them. sync() uploads a
+// committed generation into the standby copy (allocating or growing it
+// when the table outgrew its reservation) and flips atomically.
 #pragma once
 
 #include <atomic>
@@ -17,9 +23,10 @@ namespace ps::apps {
 
 class DynamicIpv6ForwardApp final : public core::Shader {
  public:
+  /// `fib` must outlive the app.
   explicit DynamicIpv6ForwardApp(route::Ipv6Fib& fib);
 
-  const char* name() const override { return "ipv6-forward-dynamic"; }
+  const char* name() const override { return "ipv6-forward"; }
   void bind_gpu(gpu::GpuDevice& device) override;
   void pre_shade(core::ShaderJob& job) override;
   core::ShadeOutcome shade(core::GpuContext& gpu, std::span<core::ShaderJob* const> jobs,
@@ -45,8 +52,8 @@ class DynamicIpv6ForwardApp final : public core::Shader {
   struct GpuState {
     gpu::GpuDevice* device = nullptr;
     TableCopy copies[2];
-    gpu::DeviceBuffer input;
-    gpu::DeviceBuffer output;
+    gpu::DeviceBuffer input;   // 16 B address per item
+    gpu::DeviceBuffer output;  // u16 next hop per item
     // mc: app.dyn.active -- double-buffer slot index; release swap after upload
     ps::atomic<int> active{0};
     u64 generation = 0;

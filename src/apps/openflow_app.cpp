@@ -1,8 +1,8 @@
 #include "apps/openflow_app.hpp"
 
-#include <cassert>
 #include <cstring>
 
+#include "apps/forwarding.hpp"
 #include "perf/calibration.hpp"
 #include "perf/ledger.hpp"
 
@@ -140,69 +140,17 @@ core::ShadeOutcome OpenFlowApp::shade(core::GpuContext& gpu,
     };
   };
 
-  const bool streamed = gpu.streams.size() > 1;
-  Picos done = submit_time;
-  u32 offset = 0;
-
-  if (!streamed) {
-    u32 total = 0;
-    for (auto* job : jobs) {
-      if (job->gpu_items == 0) continue;
-      assert(total + job->gpu_items <= kMaxBatchItems);
-      const auto h2d = gpu.device->memcpy_h2d(st.input, total * sizeof(openflow::FlowKey),
-                                              job->gpu_input, gpu::kDefaultStream, submit_time);
-      if (!h2d.ok()) return {h2d.status, h2d.end};
-      total += job->gpu_items;
-    }
-    if (total == 0) return {gpu::GpuStatus::kOk, submit_time};
-
-    gpu::KernelLaunch kernel{
+  const auto make_kernel = [&](u32 offset, u32 items) {
+    return gpu::KernelLaunch{
         .name = "openflow_classify",
-        .threads = total,
-        .body = make_body(st.input.as<const openflow::FlowKey>(), st.output.as<u32>()),
-        .cost = kernel_cost(),
-    };
-    const auto k = gpu.device->launch(kernel, gpu::kDefaultStream, submit_time);
-    if (!k.ok()) return {k.status, k.end};
-
-    for (auto* job : jobs) {
-      if (job->gpu_items == 0) continue;
-      job->gpu_output.resize(job->gpu_items * sizeof(u32));
-      const auto timing = gpu.device->memcpy_d2h(job->gpu_output, st.output,
-                                                 offset * sizeof(u32), gpu::kDefaultStream,
-                                                 submit_time);
-      if (!timing.ok()) return {timing.status, timing.end};
-      done = std::max(done, timing.end);
-      offset += job->gpu_items;
-    }
-    return {gpu::GpuStatus::kOk, done};
-  }
-
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    auto* job = jobs[j];
-    if (job->gpu_items == 0) continue;
-    assert(offset + job->gpu_items <= kMaxBatchItems);
-    const auto stream = gpu.stream_for(j);
-    const auto h2d = gpu.device->memcpy_h2d(st.input, offset * sizeof(openflow::FlowKey),
-                                            job->gpu_input, stream, submit_time);
-    if (!h2d.ok()) return {h2d.status, h2d.end};
-    gpu::KernelLaunch kernel{
-        .name = "openflow_classify",
-        .threads = job->gpu_items,
+        .threads = items,
         .body = make_body(st.input.as<const openflow::FlowKey>() + offset,
                           st.output.as<u32>() + offset),
         .cost = kernel_cost(),
     };
-    const auto k = gpu.device->launch(kernel, stream, submit_time);
-    if (!k.ok()) return {k.status, k.end};
-    job->gpu_output.resize(job->gpu_items * sizeof(u32));
-    const auto timing = gpu.device->memcpy_d2h(job->gpu_output, st.output,
-                                               offset * sizeof(u32), stream, submit_time);
-    if (!timing.ok()) return {timing.status, timing.end};
-    done = std::max(done, timing.end);
-    offset += job->gpu_items;
-  }
-  return {gpu::GpuStatus::kOk, done};
+  };
+  return shade_lookups(gpu, jobs, submit_time, st.input, sizeof(openflow::FlowKey), st.output,
+                       sizeof(u32), make_kernel);
 }
 
 void OpenFlowApp::shade_cpu(core::ShaderJob& job) {

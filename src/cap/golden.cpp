@@ -4,9 +4,9 @@
 #include <chrono>
 #include <thread>
 
+#include "apps/dynamic_ipv4.hpp"
+#include "apps/dynamic_ipv6.hpp"
 #include "apps/ipsec_gateway.hpp"
-#include "apps/ipv4_forward.hpp"
-#include "apps/ipv6_forward.hpp"
 #include "cap/capture.hpp"
 #include "cap/replay.hpp"
 #include "common/endian.hpp"
@@ -142,21 +142,22 @@ FrameList route_corpus(Corpus corpus, const std::string& input_path, Executor ex
   const u64 expected = corpus_frame_count(corpus);
   switch (corpus) {
     case Corpus::kIpv4Imix: {
-      const auto rib = corpus_ipv4_rib();
-      route::Ipv4Table table;
-      table.build(rib);
-      apps::Ipv4ForwardApp app(table);
+      route::Ipv4Fib fib;
+      for (const auto& p : corpus_ipv4_rib()) fib.announce(p);
+      fib.commit();
+      apps::DynamicIpv4ForwardApp app(fib);
       return run_through(app, input_path, executor, expected);
     }
     case Corpus::kIpv6: {
-      const auto rib = corpus_ipv6_rib();
-      route::Ipv6Table table;
-      table.build(rib);
-      apps::Ipv6ForwardApp app(table);
+      route::Ipv6Fib fib;
+      for (const auto& p : corpus_ipv6_rib()) fib.announce(p);
+      fib.commit();
+      apps::DynamicIpv6ForwardApp app(fib);
       return run_through(app, input_path, executor, expected);
     }
     case Corpus::kIpsec: {
-      apps::IpsecGatewayApp app(corpus_sa());
+      const auto sa = corpus_sa();  // the app keeps a reference to it
+      apps::IpsecGatewayApp app(sa);
       return run_through(app, input_path, executor, expected);
     }
   }

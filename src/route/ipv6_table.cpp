@@ -138,6 +138,7 @@ void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
       if (entry.bmp == kNoRoute) entry.bmp = default_nh_;
     }
   }
+  build_flat();
 }
 
 NextHop Ipv6Table::lookup(const net::Ipv6Addr& addr, int* probes) const {
@@ -162,10 +163,12 @@ NextHop Ipv6Table::lookup(const net::Ipv6Addr& addr, int* probes) const {
   return best;
 }
 
-Ipv6FlatTable Ipv6Table::flatten() const {
+void Ipv6Table::build_flat() {
   Ipv6FlatTable flat;
   flat.default_nh_ = default_nh_;
 
+  // Lay out every level first, so the slot array is allocated once at its
+  // final size rather than regrown (and briefly held twice) per level.
   u32 offset = 0;
   for (int length = 1; length <= 128; ++length) {
     const auto& level = levels_[length];
@@ -177,16 +180,19 @@ Ipv6FlatTable Ipv6Table::flatten() const {
     // 2x headroom keeps linear-probe chains short.
     const u32 capacity = static_cast<u32>(std::bit_ceil(level.size() * 2));
     flat.level_mask_[length] = capacity - 1;
-    flat.slots_.resize(offset + capacity);
-    for (const auto& [key, entry] : level) {
-      u32 slot = static_cast<u32>(flat_hash(key.hi, key.lo)) & (capacity - 1);
-      while (flat.slots_[offset + slot].occupied != 0) slot = (slot + 1) & (capacity - 1);
-      flat.slots_[offset + slot] =
-          Ipv6FlatTable::Slot{key.hi, key.lo, entry.bmp, 1};
-    }
     offset += capacity;
   }
-  return flat;
+  flat.slots_.resize(offset);
+  for (int length = 1; length <= 128; ++length) {
+    const u32 mask = flat.level_mask_[length];
+    Ipv6FlatTable::Slot* level_slots = flat.slots_.data() + flat.level_offset_[length];
+    for (const auto& [key, entry] : levels_[length]) {
+      u32 slot = static_cast<u32>(flat_hash(key.hi, key.lo)) & mask;
+      while (level_slots[slot].occupied != 0) slot = (slot + 1) & mask;
+      level_slots[slot] = Ipv6FlatTable::Slot{key.hi, key.lo, entry.bmp, 1};
+    }
+  }
+  flat_ = std::move(flat);
 }
 
 NextHop Ipv6FlatTable::lookup_in_arrays(const Slot* slots, const u32* offsets, const u32* masks,

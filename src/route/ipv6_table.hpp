@@ -135,10 +135,13 @@ class Ipv6Table {
   std::size_t prefix_count() const { return prefix_count_; }
   std::size_t marker_count() const { return marker_count_; }
 
-  /// Flatten into the GPU layout.
-  Ipv6FlatTable flatten() const;
+  /// The same table in the flattened layout, built by build(): what the
+  /// GPU copies and the CPU batch path walks.
+  const Ipv6FlatTable& flat() const { return flat_; }
 
  private:
+  void build_flat();
+
   struct Entry {
     bool is_prefix = false;
     NextHop nh = kNoRoute;   // valid when is_prefix
@@ -150,6 +153,7 @@ class Ipv6Table {
   NextHop default_nh_ = kNoRoute;
   std::size_t prefix_count_ = 0;
   std::size_t marker_count_ = 0;
+  Ipv6FlatTable flat_;
 };
 
 }  // namespace ps::route

@@ -85,6 +85,34 @@ TEST(DynamicIpv4, GpuPathUsesActiveCopyUntilSync) {
   EXPECT_EQ(app.sync(), 0);
 }
 
+TEST(DynamicIpv4, UnchangedFibHoldsOneDeviceTableCopy) {
+  // A FIB that never commits again after bind_gpu needs no standby: the
+  // device holds one table copy (32 MiB tbl24 + 16 MiB tbl_long) until the
+  // first sync() after a commit allocates the second.
+  route::Ipv4Fib fib;
+  fib.announce(default_route(1));
+  fib.commit();
+  DynamicIpv4ForwardApp app(fib);
+  GpuHarness gpu;
+  constexpr u64 kStaging = u64{DynamicIpv4ForwardApp::kMaxBatchItems} * (sizeof(u32) + sizeof(u16));
+  constexpr u64 kCopy = (u64{1} << 24) * sizeof(u16) +
+                        u64{DynamicIpv4ForwardApp::kMaxOverflowChunks} *
+                            route::Ipv4Table::kChunk * sizeof(u16);
+  app.bind_gpu(gpu.device);
+  EXPECT_EQ(gpu.device.allocated_bytes(), kStaging + kCopy);
+  EXPECT_EQ(app.sync(), 0);
+  EXPECT_EQ(gpu.device.allocated_bytes(), kStaging + kCopy);
+
+  fib.announce(default_route(2));
+  fib.commit();
+  EXPECT_EQ(app.sync(), 1);
+  EXPECT_EQ(gpu.device.allocated_bytes(), kStaging + 2 * kCopy);
+  fib.announce(default_route(3));
+  fib.commit();
+  EXPECT_EQ(app.sync(), 1);  // flips back onto the first copy
+  EXPECT_EQ(gpu.device.allocated_bytes(), kStaging + 2 * kCopy);
+}
+
 TEST(DynamicIpv4, WithdrawTurnsIntoDrop) {
   route::Ipv4Fib fib;
   fib.announce({net::Ipv4Addr(10, 0, 0, 0), 8, 2});

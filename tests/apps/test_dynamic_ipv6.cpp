@@ -110,6 +110,28 @@ TEST(DynamicIpv6, StandbyGrowsWhenTableGrows) {
   }
 }
 
+TEST(DynamicIpv6, UnchangedFibHoldsOneDeviceTableCopy) {
+  // As for IPv4: one device copy until the first sync() after a commit.
+  route::Ipv6Fib fib;
+  for (const auto& p : route::generate_ipv6_rib(1000, 8, 5)) fib.announce(p);
+  fib.commit();
+  DynamicIpv6ForwardApp app(fib);
+  GpuHarness gpu;
+  constexpr u64 kStaging = u64{DynamicIpv6ForwardApp::kMaxBatchItems} * (16 + sizeof(u16));
+  app.bind_gpu(gpu.device);
+  const u64 one_copy = gpu.device.allocated_bytes() - kStaging;
+  EXPECT_GT(one_copy, 0u);
+  EXPECT_EQ(app.sync(), 0);
+  EXPECT_EQ(gpu.device.allocated_bytes(), kStaging + one_copy);
+
+  // A default route adds no hash entries, so the second copy is the same
+  // size as the first.
+  fib.announce(default6(3));
+  fib.commit();
+  EXPECT_EQ(app.sync(), 1);
+  EXPECT_EQ(gpu.device.allocated_bytes(), kStaging + 2 * one_copy);
+}
+
 TEST(DynamicIpv6, WithdrawTurnsIntoDrop) {
   route::Ipv6Fib fib;
   const route::Ipv6Prefix p{net::Ipv6Addr::from_words(0xaaaa'0000'0000'0000ULL, 0), 16, 4};

@@ -1,9 +1,10 @@
-// IPv4/IPv6 forwarding shaders: CPU path vs GPU path equivalence,
-// classification (drop/slow-path), and header rewriting.
+// IPv4/IPv6 forwarding shaders over a FIB committed once (a static
+// table): CPU path vs GPU path equivalence, classification
+// (drop/slow-path), and header rewriting.
 #include <gtest/gtest.h>
 
-#include "apps/ipv4_forward.hpp"
-#include "apps/ipv6_forward.hpp"
+#include "apps/dynamic_ipv4.hpp"
+#include "apps/dynamic_ipv6.hpp"
 #include "core/shader.hpp"
 #include "gen/traffic.hpp"
 #include "route/rib_gen.hpp"
@@ -31,9 +32,10 @@ void run_gpu_path(core::Shader& app, GpuHarness& gpu, core::ShaderJob& job) {
 
 TEST(Ipv4ForwardApp, GpuPathMatchesCpuPathOnRandomTraffic) {
   const auto rib = route::generate_ipv4_rib({.prefix_count = 20'000, .num_next_hops = 8, .seed = 1});
-  route::Ipv4Table table;
-  table.build(rib);
-  Ipv4ForwardApp app(table);
+  route::Ipv4Fib fib;
+  for (const auto& p : rib) fib.announce(p);
+  fib.commit();
+  DynamicIpv4ForwardApp app(fib);
   GpuHarness gpu;
 
   gen::TrafficGen traffic({.seed = 2});
@@ -59,10 +61,10 @@ TEST(Ipv4ForwardApp, GpuPathMatchesCpuPathOnRandomTraffic) {
 }
 
 TEST(Ipv4ForwardApp, RouteMissIsDropped) {
-  route::Ipv4Table table;
-  const route::Ipv4Prefix rib[] = {{net::Ipv4Addr(10, 0, 0, 0), 8, 3}};
-  table.build(rib);
-  Ipv4ForwardApp app(table);
+  route::Ipv4Fib fib;
+  fib.announce({net::Ipv4Addr(10, 0, 0, 0), 8, 3});
+  fib.commit();
+  DynamicIpv4ForwardApp app(fib);
 
   core::ShaderJob job(4);
   net::FrameSpec spec;
@@ -76,10 +78,10 @@ TEST(Ipv4ForwardApp, RouteMissIsDropped) {
 }
 
 TEST(Ipv4ForwardApp, TtlExpiredGoesToSlowPath) {
-  route::Ipv4Table table;
-  const route::Ipv4Prefix rib[] = {{net::Ipv4Addr(0), 0, 1}};
-  table.build(rib);
-  Ipv4ForwardApp app(table);
+  route::Ipv4Fib fib;
+  fib.announce({net::Ipv4Addr(0), 0, 1});
+  fib.commit();
+  DynamicIpv4ForwardApp app(fib);
 
   core::ShaderJob job(4);
   net::FrameSpec spec;
@@ -90,10 +92,10 @@ TEST(Ipv4ForwardApp, TtlExpiredGoesToSlowPath) {
 }
 
 TEST(Ipv4ForwardApp, MalformedPacketIsDropped) {
-  route::Ipv4Table table;
-  const route::Ipv4Prefix rib[] = {{net::Ipv4Addr(0), 0, 1}};
-  table.build(rib);
-  Ipv4ForwardApp app(table);
+  route::Ipv4Fib fib;
+  fib.announce({net::Ipv4Addr(0), 0, 1});
+  fib.commit();
+  DynamicIpv4ForwardApp app(fib);
 
   core::ShaderJob job(4);
   auto frame = net::build_udp_ipv4({}, net::Ipv4Addr(1, 1, 1, 1), net::Ipv4Addr(2, 2, 2, 2));
@@ -104,9 +106,8 @@ TEST(Ipv4ForwardApp, MalformedPacketIsDropped) {
 }
 
 TEST(Ipv4ForwardApp, NonIpGoesToSlowPath) {
-  route::Ipv4Table table;
-  table.build({});
-  Ipv4ForwardApp app(table);
+  route::Ipv4Fib fib;  // no routes
+  DynamicIpv4ForwardApp app(fib);
 
   core::ShaderJob job(4);
   auto frame = net::build_udp_ipv4({}, net::Ipv4Addr(1, 1, 1, 1), net::Ipv4Addr(2, 2, 2, 2));
@@ -117,10 +118,10 @@ TEST(Ipv4ForwardApp, NonIpGoesToSlowPath) {
 }
 
 TEST(Ipv4ForwardApp, GpuPathSkipsIneligiblePackets) {
-  route::Ipv4Table table;
-  const route::Ipv4Prefix rib[] = {{net::Ipv4Addr(0), 0, 1}};
-  table.build(rib);
-  Ipv4ForwardApp app(table);
+  route::Ipv4Fib fib;
+  fib.announce({net::Ipv4Addr(0), 0, 1});
+  fib.commit();
+  DynamicIpv4ForwardApp app(fib);
   GpuHarness gpu;
 
   core::ShaderJob job(4);
@@ -138,9 +139,10 @@ TEST(Ipv4ForwardApp, GpuPathSkipsIneligiblePackets) {
 
 TEST(Ipv6ForwardApp, GpuPathMatchesCpuPath) {
   const auto rib = route::generate_ipv6_rib(10'000, 8, 7);
-  route::Ipv6Table table;
-  table.build(rib);
-  Ipv6ForwardApp app(table);
+  route::Ipv6Fib fib;
+  for (const auto& p : rib) fib.announce(p);
+  fib.commit();
+  DynamicIpv6ForwardApp app(fib);
   GpuHarness gpu;
 
   gen::TrafficGen traffic({.kind = gen::TrafficKind::kIpv6Udp, .frame_size = 78, .seed = 8});
@@ -161,10 +163,10 @@ TEST(Ipv6ForwardApp, GpuPathMatchesCpuPath) {
 }
 
 TEST(Ipv6ForwardApp, HopLimitDecremented) {
-  route::Ipv6Table table;
-  const route::Ipv6Prefix rib[] = {{net::Ipv6Addr{}, 0, 2}};
-  table.build(rib);
-  Ipv6ForwardApp app(table);
+  route::Ipv6Fib fib;
+  fib.announce({net::Ipv6Addr{}, 0, 2});
+  fib.commit();
+  DynamicIpv6ForwardApp app(fib);
 
   core::ShaderJob job(2);
   net::FrameSpec spec;
@@ -184,9 +186,10 @@ TEST(Ipv6ForwardApp, HopLimitDecremented) {
 TEST(Ipv6ForwardApp, GatherScatterAcrossMultipleJobs) {
   // Several chunks shaded in one batch must each get their own results.
   const auto rib = route::generate_ipv6_rib(5000, 8, 9);
-  route::Ipv6Table table;
-  table.build(rib);
-  Ipv6ForwardApp app(table);
+  route::Ipv6Fib fib;
+  for (const auto& p : rib) fib.announce(p);
+  fib.commit();
+  DynamicIpv6ForwardApp app(fib);
   GpuHarness gpu;
   app.bind_gpu(gpu.device);
 
@@ -210,7 +213,7 @@ TEST(Ipv6ForwardApp, GatherScatterAcrossMultipleJobs) {
       net::PacketView view;
       ASSERT_EQ(net::parse_packet(pkt.data(), static_cast<u32>(pkt.size()), view),
                 net::ParseStatus::kOk);
-      const auto expected = table.lookup(view.ipv6().dst());
+      const auto expected = fib.snapshot()->lookup(view.ipv6().dst());
       if (expected == route::kNoRoute) {
         EXPECT_EQ(job->chunk.verdict(i), iengine::PacketVerdict::kDrop);
       } else {
@@ -222,9 +225,10 @@ TEST(Ipv6ForwardApp, GatherScatterAcrossMultipleJobs) {
 
 TEST(Ipv4ForwardApp, StreamedShadingProducesSameResults) {
   const auto rib = route::generate_ipv4_rib({.prefix_count = 5000, .num_next_hops = 8, .seed = 11});
-  route::Ipv4Table table;
-  table.build(rib);
-  Ipv4ForwardApp app(table);
+  route::Ipv4Fib fib;
+  for (const auto& p : rib) fib.announce(p);
+  fib.commit();
+  DynamicIpv4ForwardApp app(fib);
 
   GpuHarness gpu;
   gpu.ctx.streams.push_back(gpu.device.create_stream());
@@ -250,7 +254,7 @@ TEST(Ipv4ForwardApp, StreamedShadingProducesSameResults) {
       net::PacketView view;
       ASSERT_EQ(net::parse_packet(pkt.data(), static_cast<u32>(pkt.size()), view),
                 net::ParseStatus::kOk);
-      const auto expected = table.lookup(view.ipv4().dst());
+      const auto expected = fib.snapshot()->lookup(view.ipv4().dst());
       if (expected == route::kNoRoute) {
         EXPECT_EQ(job->chunk.verdict(i), iengine::PacketVerdict::kDrop);
       } else {

@@ -8,10 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
+#include "apps/dynamic_ipv4.hpp"
+#include "apps/dynamic_ipv6.hpp"
 #include "apps/ipsec_gateway.hpp"
-#include "apps/ipv4_forward.hpp"
-#include "apps/ipv6_forward.hpp"
 #include "apps/openflow_app.hpp"
 #include "gen/traffic.hpp"
 #include "route/rib_gen.hpp"
@@ -62,47 +63,83 @@ void shade_both(core::Shader& gpu_app, core::Shader& cpu_app, GpuHarness& gpu,
   cpu_app.post_shade(cpu_job);
 }
 
+/// Append every packet's output port, so two generations' runs over the
+/// same traffic can be told apart.
+void record_ports(const core::ShaderJob& job, std::vector<i16>& ports) {
+  for (u32 i = 0; i < job.chunk.count(); ++i) ports.push_back(job.chunk.out_port(i));
+}
+
+// The forwarding apps run each input twice: on the first FIB generation,
+// then, after an announce/withdraw batch, commit() and sync(), on the
+// second, with the GPU path reading the device copy sync() flipped to.
 TEST(GpuCpuDifferential, Ipv4Forward) {
   const auto rib =
       route::generate_ipv4_rib({.prefix_count = 30'000, .num_next_hops = 8, .seed = 101});
-  route::Ipv4Table table;
-  table.build(rib);
-  Ipv4ForwardApp app(table);
+  route::Ipv4Fib fib;
+  for (const auto& p : rib) fib.announce(p);
+  fib.commit();
+  DynamicIpv4ForwardApp app(fib);
   GpuHarness gpu;
   app.bind_gpu(gpu.device);
 
-  u32 seed = 200;
-  for (const u32 n : kChunkSizes) {
-    SCOPED_TRACE("chunk size " + std::to_string(n));
-    gen::TrafficGen traffic({.seed = seed++});
-    core::ShaderJob gpu_job(n), cpu_job(n);
-    fill_identical(gpu_job, cpu_job, traffic, n);
-    app.pre_shade(gpu_job);
-    app.pre_shade(cpu_job);
-    shade_both(app, app, gpu, gpu_job, cpu_job);
-    expect_identical(gpu_job, cpu_job);
+  std::vector<i16> ports[2];
+  for (int generation = 0; generation < 2; ++generation) {
+    SCOPED_TRACE("generation " + std::to_string(generation));
+    if (generation == 1) {
+      for (std::size_t i = 0; i < rib.size(); i += 3) fib.withdraw(rib[i]);
+      fib.announce({net::Ipv4Addr(0), 0, 7});  // former misses now forward
+      fib.commit();
+      ASSERT_EQ(app.sync(), 1);
+    }
+    u32 seed = 200;
+    for (const u32 n : kChunkSizes) {
+      SCOPED_TRACE("chunk size " + std::to_string(n));
+      gen::TrafficGen traffic({.seed = seed++});
+      core::ShaderJob gpu_job(n), cpu_job(n);
+      fill_identical(gpu_job, cpu_job, traffic, n);
+      app.pre_shade(gpu_job);
+      app.pre_shade(cpu_job);
+      shade_both(app, app, gpu, gpu_job, cpu_job);
+      expect_identical(gpu_job, cpu_job);
+      record_ports(gpu_job, ports[generation]);
+    }
   }
+  EXPECT_NE(ports[0], ports[1]) << "the second generation changed no tested route";
 }
 
 TEST(GpuCpuDifferential, Ipv6Forward) {
   const auto rib = route::generate_ipv6_rib(20'000, 8, 102);
-  route::Ipv6Table table;
-  table.build(rib);
-  Ipv6ForwardApp app(table);
+  route::Ipv6Fib fib;
+  for (const auto& p : rib) fib.announce(p);
+  fib.commit();
+  DynamicIpv6ForwardApp app(fib);
   GpuHarness gpu;
   app.bind_gpu(gpu.device);
 
-  u32 seed = 300;
-  for (const u32 n : kChunkSizes) {
-    SCOPED_TRACE("chunk size " + std::to_string(n));
-    gen::TrafficGen traffic({.kind = gen::TrafficKind::kIpv6Udp, .frame_size = 78, .seed = seed++});
-    core::ShaderJob gpu_job(n), cpu_job(n);
-    fill_identical(gpu_job, cpu_job, traffic, n);
-    app.pre_shade(gpu_job);
-    app.pre_shade(cpu_job);
-    shade_both(app, app, gpu, gpu_job, cpu_job);
-    expect_identical(gpu_job, cpu_job);
+  std::vector<i16> ports[2];
+  for (int generation = 0; generation < 2; ++generation) {
+    SCOPED_TRACE("generation " + std::to_string(generation));
+    if (generation == 1) {
+      for (std::size_t i = 0; i < rib.size(); i += 3) fib.withdraw(rib[i]);
+      fib.announce({net::Ipv6Addr{}, 0, 7});  // former misses now forward
+      fib.commit();
+      ASSERT_EQ(app.sync(), 1);
+    }
+    u32 seed = 300;
+    for (const u32 n : kChunkSizes) {
+      SCOPED_TRACE("chunk size " + std::to_string(n));
+      gen::TrafficGen traffic(
+          {.kind = gen::TrafficKind::kIpv6Udp, .frame_size = 78, .seed = seed++});
+      core::ShaderJob gpu_job(n), cpu_job(n);
+      fill_identical(gpu_job, cpu_job, traffic, n);
+      app.pre_shade(gpu_job);
+      app.pre_shade(cpu_job);
+      shade_both(app, app, gpu, gpu_job, cpu_job);
+      expect_identical(gpu_job, cpu_job);
+      record_ports(gpu_job, ports[generation]);
+    }
   }
+  EXPECT_NE(ports[0], ports[1]) << "the second generation changed no tested route";
 }
 
 TEST(GpuCpuDifferential, OpenFlow) {

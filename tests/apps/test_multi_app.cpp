@@ -3,9 +3,9 @@
 // through split/reassembly, and concurrent child kernels via streams.
 #include <gtest/gtest.h>
 
+#include "apps/dynamic_ipv4.hpp"
+#include "apps/dynamic_ipv6.hpp"
 #include "apps/ipsec_gateway.hpp"
-#include "apps/ipv4_forward.hpp"
-#include "apps/ipv6_forward.hpp"
 #include "apps/multi_app.hpp"
 #include "core/model_driver.hpp"
 #include "core/testbed.hpp"
@@ -16,21 +16,19 @@ namespace ps::apps {
 namespace {
 
 struct DualStackFixture {
-  route::Ipv4Table v4_table;
-  route::Ipv6Table v6_table;
-  std::unique_ptr<Ipv4ForwardApp> v4;
-  std::unique_ptr<Ipv6ForwardApp> v6;
+  route::Ipv4Fib v4_fib;
+  route::Ipv6Fib v6_fib;
+  DynamicIpv4ForwardApp v4{v4_fib};
+  DynamicIpv6ForwardApp v6{v6_fib};
   MultiProtocolApp multi;
 
   DualStackFixture() {
-    const route::Ipv4Prefix v4_rib[] = {{net::Ipv4Addr(0), 0, 2}};
-    v4_table.build(v4_rib);
-    const route::Ipv6Prefix v6_rib[] = {{net::Ipv6Addr{}, 0, 5}};
-    v6_table.build(v6_rib);
-    v4 = std::make_unique<Ipv4ForwardApp>(v4_table);
-    v6 = std::make_unique<Ipv6ForwardApp>(v6_table);
-    multi.add_protocol(net::EtherType::kIpv4, v4.get());
-    multi.add_protocol(net::EtherType::kIpv6, v6.get());
+    v4_fib.announce({net::Ipv4Addr(0), 0, 2});
+    v4_fib.commit();
+    v6_fib.announce({net::Ipv6Addr{}, 0, 5});
+    v6_fib.commit();
+    multi.add_protocol(net::EtherType::kIpv4, &v4);
+    multi.add_protocol(net::EtherType::kIpv6, &v6);
   }
 };
 
@@ -105,21 +103,44 @@ TEST(MultiProtocolApp, GpuPathMatchesCpuPathInterleaved) {
   }
 }
 
-TEST(MultiProtocolApp, SizeChangingChildReassemblesInOrder) {
-  // Forwarding + IPsec on one router: the ESP child resizes its packets,
-  // reassembly must still restore original order.
-  route::Ipv4Table v4_table;
-  const route::Ipv4Prefix rib[] = {{net::Ipv4Addr(0), 0, 2}};
-  v4_table.build(rib);
-  Ipv4ForwardApp v4(v4_table);
+TEST(MultiProtocolApp, EachChildShadesOnItsOwnStream) {
+  // Two streams in the context: the IPv4 child (first sub-job) gets
+  // stream 0 and the IPv6 child the second stream, so their kernels can
+  // run concurrently instead of serializing on stream 0.
+  DualStackFixture fx;
+  GpuHarness gpu;
+  const gpu::StreamId second = gpu.device.create_stream();
+  gpu.ctx.streams.push_back(second);
+  fx.multi.bind_gpu(gpu.device);
+  const Picos first_tail = gpu.device.stream_tail(gpu::kDefaultStream);
+  ASSERT_EQ(gpu.device.stream_tail(second), 0);
 
+  gen::TrafficGen v4_traffic({.kind = gen::TrafficKind::kIpv4Udp, .seed = 68});
+  gen::TrafficGen v6_traffic({.kind = gen::TrafficKind::kIpv6Udp, .frame_size = 78, .seed = 69});
+  core::ShaderJob job(8);
+  job.chunk.append(v4_traffic.next_frame());
+  job.chunk.append(v6_traffic.next_frame());
+  fx.multi.pre_shade(job);
+  ASSERT_EQ(job.sub_jobs.size(), 2u);
+  ASSERT_EQ(job.sub_jobs[1].app, &fx.v6);
+  core::ShaderJob* jobs[] = {&job};
+  ASSERT_TRUE(fx.multi.shade(gpu.ctx, {jobs, 1}).ok());
+
+  EXPECT_GT(gpu.device.stream_tail(gpu::kDefaultStream), first_tail);
+  EXPECT_GT(gpu.device.stream_tail(second), 0);
+  fx.multi.post_shade(job);
+  EXPECT_EQ(job.chunk.out_port(0), 2);
+  EXPECT_EQ(job.chunk.out_port(1), 5);
+}
+
+TEST(MultiProtocolApp, SizeChangingChildReassemblesInOrder) {
+  // The ESP child resizes its packets; reassembly must still restore
+  // original order.
   const auto sa = crypto::SecurityAssociation::make_test_sa(
       0x7777, net::Ipv4Addr(172, 16, 0, 1), net::Ipv4Addr(172, 16, 0, 2));
   IpsecGatewayApp ipsec(sa);
 
   MultiProtocolApp multi;
-  // Dispatch all IPv6 to... none; IPv4 to the IPsec gateway, and use the
-  // plain forwarder for IPv6-typed frames to prove heterogeneity.
   multi.add_protocol(net::EtherType::kIpv4, &ipsec);
 
   gen::TrafficGen traffic({.frame_size = 128, .seed = 64});
@@ -139,18 +160,19 @@ TEST(MultiProtocolApp, SizeChangingChildReassemblesInOrder) {
               crypto::esp_output_frame_size(static_cast<u32>(original_sizes[i])));
     EXPECT_EQ(job.chunk.out_port(i), 1);  // in 0 -> out 1
   }
-  (void)v4;
 }
 
 TEST(MultiProtocolApp, EndToEndDualStackModelRun) {
   const auto rib4 = route::generate_ipv4_rib({.prefix_count = 10'000, .num_next_hops = 8, .seed = 65});
-  route::Ipv4Table t4;
-  t4.build(rib4);
+  route::Ipv4Fib fib4;
+  for (const auto& p : rib4) fib4.announce(p);
+  fib4.commit();
   const auto rib6 = route::generate_ipv6_rib(10'000, 8, 66);
-  route::Ipv6Table t6;
-  t6.build(rib6);
-  Ipv4ForwardApp v4(t4);
-  Ipv6ForwardApp v6(t6);
+  route::Ipv6Fib fib6;
+  for (const auto& p : rib6) fib6.announce(p);
+  fib6.commit();
+  DynamicIpv4ForwardApp v4(fib4);
+  DynamicIpv6ForwardApp v6(fib6);
   MultiProtocolApp multi;
   multi.add_protocol(net::EtherType::kIpv4, &v4);
   multi.add_protocol(net::EtherType::kIpv6, &v6);

@@ -7,13 +7,13 @@
 
 #include <cstdio>
 
-#include "apps/ipv4_forward.hpp"
+#include "apps/dynamic_ipv4.hpp"
 #include "cap/capture.hpp"
 #include "cap/replay.hpp"
 #include "core/model_driver.hpp"
 #include "core/testbed.hpp"
 #include "gen/traffic.hpp"
-#include "route/ipv4_table.hpp"
+#include "route/fib_manager.hpp"
 #include "route/rib_gen.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -164,8 +164,9 @@ TEST(Replay, MaxRateSaturatesAtLeastAsHighAsSyntheticGenerator) {
   const auto path = temp_path("saturate.pcap");
   const auto rib = route::generate_ipv4_rib({.prefix_count = 1000, .num_next_hops = 4,
                                              .seed = 77});
-  route::Ipv4Table table;
-  table.build(rib);
+  route::Ipv4Fib fib;
+  for (const auto& p : rib) fib.announce(p);
+  fib.commit();
 
   const gen::TrafficConfig traffic_config{
       .frame_size = 64,
@@ -181,7 +182,7 @@ TEST(Replay, MaxRateSaturatesAtLeastAsHighAsSyntheticGenerator) {
     }
   }
 
-  apps::Ipv4ForwardApp app{table};
+  apps::DynamicIpv4ForwardApp app{fib};
   double synthetic_mpps = 0.0, replay_mpps = 0.0;
   {
     core::Testbed testbed({.topo = pcie::Topology::paper_server(), .use_gpu = true,

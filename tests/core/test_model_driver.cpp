@@ -2,7 +2,7 @@
 // pipeline plus the headline shape checks (Figure 6 anchors).
 #include <gtest/gtest.h>
 
-#include "apps/ipv4_forward.hpp"
+#include "apps/dynamic_ipv4.hpp"
 #include "core/model_driver.hpp"
 #include "route/rib_gen.hpp"
 
@@ -108,10 +108,10 @@ TEST(ModelDriver, GpuAppProcessesEverythingFunctionally) {
   gen::TrafficGen traffic({.frame_size = 64, .seed = 6});
   testbed.connect_sink(&traffic);
 
-  route::Ipv4Table table;
-  const route::Ipv4Prefix rib[] = {{net::Ipv4Addr(0), 0, 2}};  // default -> port 2
-  table.build(rib);
-  apps::Ipv4ForwardApp app(table);
+  route::Ipv4Fib fib;
+  fib.announce({net::Ipv4Addr(0), 0, 2});  // default -> port 2
+  fib.commit();
+  apps::DynamicIpv4ForwardApp app(fib);
 
   ModelDriver driver(testbed, &app, RouterConfig{.use_gpu = true});
   const auto result = driver.run(traffic, 20'000);

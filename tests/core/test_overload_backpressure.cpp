@@ -8,7 +8,7 @@
 #include <functional>
 #include <thread>
 
-#include "apps/ipv4_forward.hpp"
+#include "apps/dynamic_ipv4.hpp"
 #include "core/router.hpp"
 #include "core/testbed.hpp"
 #include "gen/traffic.hpp"
@@ -34,11 +34,11 @@ constexpr bool kTsan = false;
 constexpr bool kTsan = false;
 #endif
 
-route::Ipv4Table default_route_table(route::NextHop out_port) {
-  route::Ipv4Table table;
-  const route::Ipv4Prefix all{net::Ipv4Addr(0), 0, out_port};
-  table.build({&all, 1});
-  return table;
+std::unique_ptr<route::Ipv4Fib> default_route_fib(route::NextHop out_port) {
+  auto fib = std::make_unique<route::Ipv4Fib>();
+  fib->announce({net::Ipv4Addr(0), 0, out_port});
+  fib->commit();
+  return fib;
 }
 
 bool wait_for(const std::function<bool()>& cond, std::chrono::milliseconds timeout = 20000ms) {
@@ -166,8 +166,8 @@ TEST(OverloadControl, WatermarksShrinkBatchesAndShedAtTheNicRing) {
 }
 
 TEST(OverloadControl, SlowpathFloodIsRateLimitedAndAccounted) {
-  const auto table = default_route_table(1);
-  apps::Ipv4ForwardApp app(table);
+  const auto fib = default_route_fib(1);
+  apps::DynamicIpv4ForwardApp app(*fib);
 
   Testbed testbed({.topo = pcie::Topology::single_node(),
                    .use_gpu = false,
@@ -226,8 +226,8 @@ TEST(OverloadControl, SlowpathFloodIsRateLimitedAndAccounted) {
 }
 
 TEST(OverloadControl, AuditBalancesOnANormalForwardingRun) {
-  const auto table = default_route_table(2);
-  apps::Ipv4ForwardApp app(table);
+  const auto fib = default_route_fib(2);
+  apps::DynamicIpv4ForwardApp app(*fib);
 
   Testbed testbed({.topo = pcie::Topology::single_node(),
                    .use_gpu = true,

@@ -14,8 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "apps/dynamic_ipv4.hpp"
 #include "apps/ipsec_gateway.hpp"
-#include "apps/ipv4_forward.hpp"
 #include "core/router.hpp"
 #include "core/testbed.hpp"
 #include "gen/traffic.hpp"
@@ -169,28 +169,22 @@ TEST(PipelineTrace, DisabledTracingPerformsZeroAtomicWrites) {
 // --- through the threaded router ---------------------------------------------
 
 struct RouterTraceFixture {
-  route::Ipv4Table table;
-  apps::Ipv4ForwardApp app;
+  route::Ipv4Fib fib;
+  apps::DynamicIpv4ForwardApp app;
   core::Testbed testbed;
   gen::TrafficGen traffic;
 
   RouterTraceFixture()
-      : table(make_table()),
-        app(table),
+      : app(fib),
         testbed({.topo = pcie::Topology::single_node(),
                  .use_gpu = true,
                  .ring_size = 4096,
                  .gpu_pool_workers = 0},
                 core::RouterConfig{.use_gpu = true}),
         traffic({.frame_size = 64, .seed = 31}) {
+    fib.announce({net::Ipv4Addr(0), 0, 1});
+    fib.commit();
     testbed.connect_sink(&traffic);
-  }
-
-  static route::Ipv4Table make_table() {
-    route::Ipv4Table t;
-    const route::Ipv4Prefix all{net::Ipv4Addr(0), 0, 1};
-    t.build({&all, 1});
-    return t;
   }
 
   core::RouterConfig router_config() const {

@@ -7,7 +7,7 @@
 #include <mutex>
 #include <thread>
 
-#include "apps/ipv4_forward.hpp"
+#include "apps/dynamic_ipv4.hpp"
 #include "core/model_driver.hpp"
 #include "core/router.hpp"
 #include "core/testbed.hpp"
@@ -43,11 +43,11 @@ class CollectingSink final : public nic::WireSink {
 };
 
 /// Route everything to port `out` via a default route.
-route::Ipv4Table default_route_table(route::NextHop out) {
-  route::Ipv4Table table;
-  const route::Ipv4Prefix rib[] = {{net::Ipv4Addr(0), 0, out}};
-  table.build(rib);
-  return table;
+std::unique_ptr<route::Ipv4Fib> default_route_fib(route::NextHop out) {
+  auto fib = std::make_unique<route::Ipv4Fib>();
+  fib->announce({net::Ipv4Addr(0), 0, out});
+  fib->commit();
+  return fib;
 }
 
 bool wait_for(const std::function<bool()>& cond, std::chrono::milliseconds timeout = 5000ms) {
@@ -62,8 +62,8 @@ bool wait_for(const std::function<bool()>& cond, std::chrono::milliseconds timeo
 struct RouterFixture {
   Testbed testbed;
   gen::TrafficGen traffic{{.seed = 11}};
-  route::Ipv4Table table = default_route_table(1);
-  apps::Ipv4ForwardApp app{table};
+  std::unique_ptr<route::Ipv4Fib> fib = default_route_fib(1);
+  apps::DynamicIpv4ForwardApp app{*fib};
 
   explicit RouterFixture(bool use_gpu)
       : testbed(TestbedConfig{.topo = pcie::Topology::paper_server(),

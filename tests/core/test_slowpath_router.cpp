@@ -6,7 +6,7 @@
 #include <chrono>
 #include <thread>
 
-#include "apps/ipv4_forward.hpp"
+#include "apps/dynamic_ipv4.hpp"
 #include "core/router.hpp"
 #include "core/testbed.hpp"
 #include "gen/traffic.hpp"
@@ -18,10 +18,10 @@ namespace {
 using namespace std::chrono_literals;
 
 TEST(SlowPathRouter, TtlExpiryTriggersIcmpReply) {
-  route::Ipv4Table table;
-  const route::Ipv4Prefix rib[] = {{net::Ipv4Addr(0), 0, 1}};
-  table.build(rib);
-  apps::Ipv4ForwardApp app(table);
+  route::Ipv4Fib fib;
+  fib.announce({net::Ipv4Addr(0), 0, 1});
+  fib.commit();
+  apps::DynamicIpv4ForwardApp app(fib);
 
   Testbed testbed({.topo = pcie::Topology::paper_server(),
                    .use_gpu = true,
@@ -59,10 +59,10 @@ TEST(SlowPathRouter, TtlExpiryTriggersIcmpReply) {
 }
 
 TEST(SlowPathRouter, LocalTrafficDeliveredToHostStack) {
-  route::Ipv4Table table;
-  const route::Ipv4Prefix rib[] = {{net::Ipv4Addr(0), 0, 1}};
-  table.build(rib);
-  apps::Ipv4ForwardApp app(table);
+  route::Ipv4Fib fib;
+  fib.announce({net::Ipv4Addr(0), 0, 1});
+  fib.commit();
+  apps::DynamicIpv4ForwardApp app(fib);
 
   Testbed testbed({.topo = pcie::Topology::paper_server(),
                    .use_gpu = false,

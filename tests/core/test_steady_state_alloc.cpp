@@ -8,11 +8,11 @@
 #include <chrono>
 #include <thread>
 
-#include "apps/ipv4_forward.hpp"
+#include "apps/dynamic_ipv4.hpp"
 #include "core/router.hpp"
 #include "core/testbed.hpp"
 #include "gen/traffic.hpp"
-#include "route/ipv4_table.hpp"
+#include "route/fib_manager.hpp"
 #include "telemetry/alloc_stats.hpp"
 
 namespace ps::core {
@@ -20,11 +20,11 @@ namespace {
 
 using namespace std::chrono_literals;
 
-route::Ipv4Table default_route_table(route::NextHop out) {
-  route::Ipv4Table table;
-  const route::Ipv4Prefix rib[] = {{net::Ipv4Addr(0), 0, out}};
-  table.build(rib);
-  return table;
+std::unique_ptr<route::Ipv4Fib> default_route_fib(route::NextHop out) {
+  auto fib = std::make_unique<route::Ipv4Fib>();
+  fib->announce({net::Ipv4Addr(0), 0, out});
+  fib->commit();
+  return fib;
 }
 
 TEST(SteadyStateAlloc, CpuOnlyForwardingIsAllocationFree) {
@@ -38,8 +38,8 @@ TEST(SteadyStateAlloc, CpuOnlyForwardingIsAllocationFree) {
                   RouterConfig{.use_gpu = false});
   gen::TrafficGen traffic{{.seed = 23}};
   testbed.connect_sink(&traffic);
-  route::Ipv4Table table = default_route_table(1);
-  apps::Ipv4ForwardApp app{table};
+  std::unique_ptr<route::Ipv4Fib> fib = default_route_fib(1);
+  apps::DynamicIpv4ForwardApp app{*fib};
 
   RouterConfig config;
   config.use_gpu = false;

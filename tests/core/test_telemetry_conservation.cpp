@@ -17,7 +17,7 @@
 #include <string>
 #include <thread>
 
-#include "apps/ipv4_forward.hpp"
+#include "apps/dynamic_ipv4.hpp"
 #include "core/router.hpp"
 #include "core/testbed.hpp"
 #include "fault/fault_injector.hpp"
@@ -38,11 +38,11 @@ bool wait_for(const std::function<bool()>& cond, std::chrono::milliseconds timeo
   return cond();
 }
 
-route::Ipv4Table default_route_table(route::NextHop out_port) {
-  route::Ipv4Table table;
-  const route::Ipv4Prefix all{net::Ipv4Addr(0), 0, out_port};
-  table.build({&all, 1});
-  return table;
+std::unique_ptr<route::Ipv4Fib> default_route_fib(route::NextHop out_port) {
+  auto fib = std::make_unique<route::Ipv4Fib>();
+  fib->announce({net::Ipv4Addr(0), 0, out_port});
+  fib->commit();
+  return fib;
 }
 
 /// Every kCounter value in `cur` must be >= its value in `prev`.
@@ -59,8 +59,8 @@ void expect_counters_monotonic(const telemetry::MetricsSnapshot& prev,
 
 /// One randomized run: traffic + fault seeds in, conservation out.
 void run_conservation_case(u32 traffic_seed, u32 fault_seed, bool with_faults) {
-  const auto table = default_route_table(1);
-  apps::Ipv4ForwardApp app(table);
+  const auto fib = default_route_fib(1);
+  apps::DynamicIpv4ForwardApp app(*fib);
 
   core::Testbed testbed({.topo = pcie::Topology::single_node(),
                          .use_gpu = true,

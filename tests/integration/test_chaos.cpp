@@ -13,7 +13,7 @@
 #include <functional>
 #include <thread>
 
-#include "apps/ipv4_forward.hpp"
+#include "apps/dynamic_ipv4.hpp"
 #include "core/router.hpp"
 #include "core/testbed.hpp"
 #include "fault/fault_injector.hpp"
@@ -34,16 +34,16 @@ bool wait_for(const std::function<bool()>& cond, std::chrono::milliseconds timeo
 }
 
 /// A default route so the only drops are the injected ones.
-route::Ipv4Table default_route_table(route::NextHop out_port) {
-  route::Ipv4Table table;
-  const route::Ipv4Prefix all{net::Ipv4Addr(0), 0, out_port};
-  table.build({&all, 1});
-  return table;
+std::unique_ptr<route::Ipv4Fib> default_route_fib(route::NextHop out_port) {
+  auto fib = std::make_unique<route::Ipv4Fib>();
+  fib->announce({net::Ipv4Addr(0), 0, out_port});
+  fib->commit();
+  return fib;
 }
 
 TEST(Chaos, GpuFailureRecoveryWithZeroUnaccountedLoss) {
-  const auto table = default_route_table(1);
-  apps::Ipv4ForwardApp app(table);
+  const auto fib = default_route_fib(1);
+  apps::DynamicIpv4ForwardApp app(*fib);
 
   core::Testbed testbed({.topo = pcie::Topology::single_node(),
                          .use_gpu = true,
@@ -144,8 +144,8 @@ TEST(Chaos, TxLinkFlapExhaustsRetryAndCountsRingFullDrops) {
   // so the fault window falls entirely on the transmit path. The engine's
   // bounded retry (5 attempts) means a 400-fire window costs at most 80
   // packets — and at least (400 - straddlers) / 5.
-  const auto table = default_route_table(0);
-  apps::Ipv4ForwardApp app(table);
+  const auto fib = default_route_fib(0);
+  apps::DynamicIpv4ForwardApp app(*fib);
 
   core::Testbed testbed({.topo = pcie::Topology::single_node(),
                          .use_gpu = false,
@@ -198,8 +198,8 @@ TEST(Chaos, RxLinkFlapRejectsFramesAtTheWire) {
   // Mirror case: traffic routes out of port 1, so the only hits on port
   // 0's link point are RX attempts from the offering thread — the window
   // is exactly 400 rejected frames, visible as hardware drops.
-  const auto table = default_route_table(1);
-  apps::Ipv4ForwardApp app(table);
+  const auto fib = default_route_fib(1);
+  apps::DynamicIpv4ForwardApp app(*fib);
 
   core::Testbed testbed({.topo = pcie::Topology::single_node(),
                          .use_gpu = false,

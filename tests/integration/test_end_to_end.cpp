@@ -7,8 +7,8 @@
 #include <thread>
 
 #include "apps/ipsec_gateway.hpp"
-#include "apps/ipv4_forward.hpp"
-#include "apps/ipv6_forward.hpp"
+#include "apps/dynamic_ipv4.hpp"
+#include "apps/dynamic_ipv6.hpp"
 #include "apps/openflow_app.hpp"
 #include "core/model_driver.hpp"
 #include "core/router.hpp"
@@ -35,9 +35,10 @@ TEST(EndToEnd, Ipv4RouterDistributesByRealRib) {
   // leave on the port the table says, and the sink's per-port split must
   // reflect the next-hop distribution.
   const auto rib = route::generate_ipv4_rib({.prefix_count = 30'000, .num_next_hops = 8, .seed = 40});
-  route::Ipv4Table table;
-  table.build(rib);
-  apps::Ipv4ForwardApp app(table);
+  route::Ipv4Fib fib;
+  for (const auto& p : rib) fib.announce(p);
+  fib.commit();
+  apps::DynamicIpv4ForwardApp app(fib);
 
   core::Testbed testbed({.topo = pcie::Topology::paper_server(), .use_gpu = true, .ring_size = 4096},
                         core::RouterConfig{.use_gpu = true});
@@ -59,9 +60,10 @@ TEST(EndToEnd, Ipv4RouterDistributesByRealRib) {
 
 TEST(EndToEnd, Ipv6RouterGpuFunctional) {
   const auto rib = route::generate_ipv6_rib(50'000, 8, 42);
-  route::Ipv6Table table;
-  table.build(rib);
-  apps::Ipv6ForwardApp app(table);
+  route::Ipv6Fib fib;
+  for (const auto& p : rib) fib.announce(p);
+  fib.commit();
+  apps::DynamicIpv6ForwardApp app(fib);
 
   core::Testbed testbed({.topo = pcie::Topology::paper_server(), .use_gpu = true, .ring_size = 4096},
                         core::RouterConfig{.use_gpu = true});
@@ -182,10 +184,10 @@ TEST(EndToEnd, RingOverflowDropsAreAccounted) {
 TEST(EndToEnd, MalformedTrafficIsContained) {
   // Corrupted frames must be dropped by classification without affecting
   // the healthy ones around them.
-  route::Ipv4Table table;
-  const route::Ipv4Prefix rib[] = {{net::Ipv4Addr(0), 0, 1}};
-  table.build(rib);
-  apps::Ipv4ForwardApp app(table);
+  route::Ipv4Fib fib;
+  fib.announce({net::Ipv4Addr(0), 0, 1});
+  fib.commit();
+  apps::DynamicIpv4ForwardApp app(fib);
 
   core::Testbed testbed({.topo = pcie::Topology::paper_server(), .use_gpu = true, .ring_size = 4096},
                         core::RouterConfig{.use_gpu = true});

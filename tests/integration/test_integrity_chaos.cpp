@@ -21,7 +21,6 @@
 
 #include "apps/dynamic_ipv4.hpp"
 #include "apps/ipsec_gateway.hpp"
-#include "apps/ipv4_forward.hpp"
 #include "core/router.hpp"
 #include "core/testbed.hpp"
 #include "fault/fault_injector.hpp"
@@ -48,19 +47,17 @@ bool wait_for(const std::function<bool()>& cond, std::chrono::milliseconds timeo
 // any single-bit flip of a staged lookup key resolves to the default, and
 // any single-bit flip of a result value changes the port — so every
 // injected corruption is guaranteed to change an output, never masked.
-route::Ipv4Table corruption_sensitive_table() {
-  route::Ipv4Table table;
-  const route::Ipv4Prefix routes[] = {
-      {net::Ipv4Addr(10, 0, 0, 1), 32, 1},
-      {net::Ipv4Addr(0), 0, 2},
-  };
-  table.build(routes);
-  return table;
+std::unique_ptr<route::Ipv4Fib> corruption_sensitive_fib() {
+  auto fib = std::make_unique<route::Ipv4Fib>();
+  fib->announce({net::Ipv4Addr(10, 0, 0, 1), 32, 1});
+  fib->announce({net::Ipv4Addr(0), 0, 2});
+  fib->commit();
+  return fib;
 }
 
 TEST(IntegrityChaos, EveryInjectedCorruptionLocalizedAtItsStage) {
-  const auto table = corruption_sensitive_table();
-  apps::Ipv4ForwardApp app(table);
+  const auto fib = corruption_sensitive_fib();
+  apps::DynamicIpv4ForwardApp app(*fib);
 
   core::Testbed testbed({.topo = pcie::Topology::single_node(),
                          .use_gpu = true,
@@ -154,8 +151,8 @@ TEST(IntegrityChaos, EveryInjectedCorruptionLocalizedAtItsStage) {
 }
 
 TEST(IntegrityChaos, ShadowSamplingEscalatesAndTripsSickDevice) {
-  const auto table = corruption_sensitive_table();
-  apps::Ipv4ForwardApp app(table);
+  const auto fib = corruption_sensitive_fib();
+  apps::DynamicIpv4ForwardApp app(*fib);
 
   core::Testbed testbed({.topo = pcie::Topology::single_node(),
                          .use_gpu = true,

@@ -9,7 +9,7 @@
 #include <functional>
 #include <thread>
 
-#include "apps/ipv4_forward.hpp"
+#include "apps/dynamic_ipv4.hpp"
 #include "core/router.hpp"
 #include "core/testbed.hpp"
 #include "fault/fault_injector.hpp"
@@ -29,19 +29,19 @@ bool wait_for(const std::function<bool()>& cond, std::chrono::milliseconds timeo
   return cond();
 }
 
-route::Ipv4Table default_route_table(route::NextHop out_port) {
-  route::Ipv4Table table;
-  const route::Ipv4Prefix all{net::Ipv4Addr(0), 0, out_port};
-  table.build({&all, 1});
-  return table;
+std::unique_ptr<route::Ipv4Fib> default_route_fib(route::NextHop out_port) {
+  auto fib = std::make_unique<route::Ipv4Fib>();
+  fib->announce({net::Ipv4Addr(0), 0, out_port});
+  fib->commit();
+  return fib;
 }
 
 TEST(LinkFlap, CarrierLossDropsAtTheWireAndRecoversCleanly) {
   // Traffic routes out of port 1, so the only events on port 0 are RX
   // attempts from the offering thread: the 400-fire window falls on
   // frames 1001..1400 into port 0, and the 1401st restores carrier.
-  const auto table = default_route_table(1);
-  apps::Ipv4ForwardApp app(table);
+  const auto fib = default_route_fib(1);
+  apps::DynamicIpv4ForwardApp app(*fib);
 
   core::Testbed testbed({.topo = pcie::Topology::single_node(),
                          .use_gpu = false,

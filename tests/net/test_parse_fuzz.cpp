@@ -4,7 +4,7 @@
 // contained (dropped or slow-pathed), never forwarded as IPv4.
 #include <gtest/gtest.h>
 
-#include "apps/ipv4_forward.hpp"
+#include "apps/dynamic_ipv4.hpp"
 #include "common/rng.hpp"
 #include "core/shader.hpp"
 #include "net/packet.hpp"
@@ -57,10 +57,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParseFuzzTest, ::testing::Values(1, 2, 3));
 TEST(ParseFuzz, GarbageThroughFullPipelineIsContained) {
   // Random garbage delivered to the NIC, fetched by the app: every packet
   // must end as drop or slow-path, never forwarded.
-  route::Ipv4Table table;
-  const route::Ipv4Prefix rib[] = {{Ipv4Addr(0), 0, 1}};
-  table.build(rib);
-  apps::Ipv4ForwardApp app(table);
+  route::Ipv4Fib fib;
+  fib.announce({Ipv4Addr(0), 0, 1});
+  fib.commit();
+  apps::DynamicIpv4ForwardApp app(fib);
 
   nic::NicPort port(0, pcie::Topology::single_node(), {.num_rx_queues = 1, .ring_size = 2048});
   Rng rng(99);

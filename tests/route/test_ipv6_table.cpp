@@ -96,7 +96,7 @@ TEST(Ipv6Table, FlattenedLayoutMatches) {
   const auto rib = generate_ipv6_rib(3000, 8, 21);
   Ipv6Table table;
   table.build(rib);
-  const auto flat = table.flatten();
+  const auto& flat = table.flat();
 
   Rng rng(22);
   for (int i = 0; i < 3000; ++i) {

@@ -116,7 +116,7 @@ TEST(Ipv6LookupBatch, MatchesScalarOnRandomRib) {
   const auto rib = generate_ipv6_rib(20000, 8, 42);
   Ipv6Table table;
   table.build(rib);
-  const auto flat = table.flatten();
+  const auto& flat = table.flat();
 
   Rng rng(7);
   std::vector<u64> keys(2 * 3000);
@@ -143,7 +143,7 @@ TEST(Ipv6LookupBatch, MatchesScalarWithMaxLengthPrefixes) {
   }
   Ipv6Table table;
   table.build(rib);
-  const auto flat = table.flatten();
+  const auto& flat = table.flat();
 
   std::vector<u64> keys;
   // Exact /128 addresses (must match), near misses, and random keys.
@@ -163,7 +163,7 @@ TEST(Ipv6LookupBatch, MatchesScalarWithMaxLengthPrefixes) {
 TEST(Ipv6LookupBatch, EmptyTableAndEmptyInput) {
   Ipv6Table table;
   table.build({});
-  const auto flat = table.flatten();
+  const auto& flat = table.flat();
   flat.lookup_batch(nullptr, nullptr, 0);
   const u64 key[2] = {0x2001'0db8'0000'0000ull, 0};
   NextHop out = 0;

@@ -127,13 +127,13 @@ TEST(Ipv6Edge, SiblingPrefixesDoNotBleed) {
 TEST(Ipv6Edge, FlattenedEmptyAndTinyTables) {
   Ipv6Table empty;
   empty.build({});
-  const auto flat = empty.flatten();
+  const auto& flat = empty.flat();
   EXPECT_EQ(flat.lookup(net::Ipv6Addr::from_words(123, 456)), kNoRoute);
 
   Ipv6Table one;
   const Ipv6Prefix single[] = {{net::Ipv6Addr::from_words(0x5555'0000'0000'0000ULL, 0), 16, 7}};
   one.build(single);
-  const auto flat_one = one.flatten();
+  const auto& flat_one = one.flat();
   EXPECT_EQ(flat_one.lookup(net::Ipv6Addr::from_words(0x5555'1234'0000'0000ULL, 0)), 7);
   EXPECT_EQ(flat_one.lookup(net::Ipv6Addr::from_words(0x5556'0000'0000'0000ULL, 0)), kNoRoute);
 }
