@@ -15,26 +15,26 @@ int main() {
   bench::print_header("Figure 2", "IPv6 lookup throughput (Mpps) vs batch size, no packet I/O");
   bench::print_note("table: 200,000 random prefixes (paper section 6.2.2)");
 
-  // Build the real table; its flat layout is what the router uploads.
+  // Build the real table; its arrays are what the router uploads.
   const auto rib = route::generate_ipv6_rib(route::kPaperIpv6PrefixCount, 8, 2010);
   route::Ipv6Table table;
   table.build(rib);
-  const auto& flat = table.flat();
 
   pcie::Topology topo = pcie::Topology::paper_server();
   gpu::GpuDevice device(0, topo, std::make_shared<gpu::SimtExecutor>());
 
-  auto slots_buf = device.alloc(flat.slots().size_bytes());
+  auto slots_buf = device.alloc(table.slots().size_bytes());
   device.memcpy_h2d(slots_buf, 0,
-                    {reinterpret_cast<const u8*>(flat.slots().data()), flat.slots().size_bytes()});
-  auto offsets_buf = device.alloc(flat.level_offsets().size_bytes());
+                    {reinterpret_cast<const u8*>(table.slots().data()),
+                     table.slots().size_bytes()});
+  auto offsets_buf = device.alloc(table.level_offsets().size_bytes());
   device.memcpy_h2d(offsets_buf, 0,
-                    {reinterpret_cast<const u8*>(flat.level_offsets().data()),
-                     flat.level_offsets().size_bytes()});
-  auto masks_buf = device.alloc(flat.level_masks().size_bytes());
+                    {reinterpret_cast<const u8*>(table.level_offsets().data()),
+                     table.level_offsets().size_bytes()});
+  auto masks_buf = device.alloc(table.level_masks().size_bytes());
   device.memcpy_h2d(masks_buf, 0,
-                    {reinterpret_cast<const u8*>(flat.level_masks().data()),
-                     flat.level_masks().size_bytes()});
+                    {reinterpret_cast<const u8*>(table.level_masks().data()),
+                     table.level_masks().size_bytes()});
 
   const double cpu1 = perf::cpu_lookup_only_rate(1, 7) / 1e6;
   const double cpu2 = perf::cpu_lookup_only_rate(2, 7) / 1e6;
@@ -57,12 +57,12 @@ int main() {
     const auto h2d = device.memcpy_h2d(
         in_buf, 0, {reinterpret_cast<const u8*>(addrs.data()), addrs.size() * 8});
 
-    const auto* slots = slots_buf.as<const route::Ipv6FlatTable::Slot>();
+    const auto* slots = slots_buf.as<const route::Ipv6Table::Slot>();
     const auto* offsets = offsets_buf.as<const u32>();
     const auto* masks = masks_buf.as<const u32>();
     const u64* in = in_buf.as<const u64>();
     u16* out = out_buf.as<u16>();
-    const route::NextHop default_nh = flat.default_route();
+    const route::NextHop default_nh = table.default_route();
 
     gpu::KernelLaunch kernel{
         .name = "ipv6_lookup",
@@ -70,9 +70,8 @@ int main() {
         .body =
             [=](gpu::ThreadCtx& ctx) {
               const u32 tid = ctx.thread_id();
-              out[tid] = route::Ipv6FlatTable::lookup_in_arrays(slots, offsets, masks,
-                                                                in[tid * 2], in[tid * 2 + 1],
-                                                                default_nh);
+              out[tid] = route::Ipv6Table::lookup_in_arrays(slots, offsets, masks, in[tid * 2],
+                                                            in[tid * 2 + 1], default_nh);
             },
         .cost = {.instructions = 7 * perf::kGpuIpv6LookupInstrPerProbe,
                  .mem_accesses = 7.0,

@@ -88,31 +88,12 @@ void BM_Ipv6Lookup(benchmark::State& state) {
 }
 BENCHMARK(BM_Ipv6Lookup);
 
-void BM_Ipv6FlatLookup(benchmark::State& state) {
+void BM_Ipv6LookupBatch(benchmark::State& state) {
   static const auto rib = route::generate_ipv6_rib(route::kPaperIpv6PrefixCount, 8, 2010);
-  static const route::Ipv6FlatTable flat = [] {
+  static const route::Ipv6Table table = [] {
     route::Ipv6Table t;
     t.build(rib);
-    return t.flat();
-  }();
-
-  Rng rng(3);
-  std::vector<net::Ipv6Addr> addrs(4096);
-  for (auto& a : addrs) a = net::Ipv6Addr::from_words(rng.next_u64(), rng.next_u64());
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(flat.lookup(addrs[i++ & 4095]));
-  }
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
-}
-BENCHMARK(BM_Ipv6FlatLookup);
-
-void BM_Ipv6FlatLookupBatch(benchmark::State& state) {
-  static const auto rib = route::generate_ipv6_rib(route::kPaperIpv6PrefixCount, 8, 2010);
-  static const route::Ipv6FlatTable flat = [] {
-    route::Ipv6Table t;
-    t.build(rib);
-    return t.flat();
+    return t;
   }();
 
   const auto batch = static_cast<std::size_t>(state.range(0));
@@ -123,13 +104,13 @@ void BM_Ipv6FlatLookupBatch(benchmark::State& state) {
   const std::size_t blocks = 4096 / batch;
   std::size_t i = 0;
   for (auto _ : state) {
-    flat.lookup_batch(keys.data() + 2 * (i++ % blocks) * batch, out.data(), batch);
+    table.lookup_batch(keys.data() + 2 * (i++ % blocks) * batch, out.data(), batch);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * static_cast<i64>(batch));
 }
-BENCHMARK(BM_Ipv6FlatLookupBatch)->Arg(64)->Arg(256);
+BENCHMARK(BM_Ipv6LookupBatch)->Arg(64)->Arg(256);
 
 void BM_ToeplitzRss(benchmark::State& state) {
   net::FrameSpec spec;
@@ -242,7 +223,7 @@ BatchResult time_ipv4(const route::Ipv4Table& table, const std::vector<u32>& key
   return r;
 }
 
-BatchResult time_ipv6(const route::Ipv6FlatTable& flat, const std::vector<u64>& keys,
+BatchResult time_ipv6(const route::Ipv6Table& table, const std::vector<u64>& keys,
                       std::size_t batch, int passes) {
   const std::size_t n = keys.size() / 2;
   std::vector<route::NextHop> out(n);
@@ -250,11 +231,11 @@ BatchResult time_ipv6(const route::Ipv6FlatTable& flat, const std::vector<u64>& 
   for (int p = 0; p <= passes; ++p) {
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < n; ++i) {
-      out[i] = flat.lookup(net::Ipv6Addr::from_words(keys[2 * i], keys[2 * i + 1]));
+      out[i] = table.lookup(net::Ipv6Addr::from_words(keys[2 * i], keys[2 * i + 1]));
     }
     const auto t1 = Clock::now();
     for (std::size_t i = 0; i + batch <= n; i += batch) {
-      flat.lookup_batch(keys.data() + 2 * i, out.data() + i, batch);
+      table.lookup_batch(keys.data() + 2 * i, out.data() + i, batch);
     }
     const auto t2 = Clock::now();
     benchmark::DoNotOptimize(out.data());
@@ -306,7 +287,6 @@ void run_batch_harness(bool smoke) {
   const auto rib6 = route::generate_ipv6_rib(route::kPaperIpv6PrefixCount, 8, 2010);
   route::Ipv6Table table6;
   table6.build(rib6);
-  const route::Ipv6FlatTable& flat = table6.flat();
   const auto pool6 = route::sample_covered_ipv6(rib6, 65536);
   Rng rng6(13);
   std::vector<u64> keys6(2 * v6_keys);
@@ -328,7 +308,7 @@ void run_batch_harness(bool smoke) {
                 r4.batch_ns, r4.scalar_ns / r4.batch_ns, model4);
     emit_batch_line(batch == 64 ? "micro_lookup_ipv4_batch64" : "micro_lookup_ipv4_batch256",
                     v4_keys, batch, r4, model4);
-    const auto r6 = time_ipv6(flat, keys6, batch, passes);
+    const auto r6 = time_ipv6(table6, keys6, batch, passes);
     std::printf("%-8s %8zu %22.2f %22.2f %8.2fx %8.2fx\n", "ipv6", batch, r6.scalar_ns,
                 r6.batch_ns, r6.scalar_ns / r6.batch_ns, model6);
     emit_batch_line(batch == 64 ? "micro_lookup_ipv6_batch64" : "micro_lookup_ipv6_batch256",

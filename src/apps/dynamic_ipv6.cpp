@@ -23,11 +23,11 @@ bool classify_and_rewrite(iengine::PacketChunk& chunk, u32 i) {
 
 DynamicIpv6ForwardApp::DynamicIpv6ForwardApp(route::Ipv6Fib& fib) : fib_(fib) {}
 
-void DynamicIpv6ForwardApp::upload(GpuState& st, int slot, const route::Ipv6FlatTable& flat) {
+void DynamicIpv6ForwardApp::upload(GpuState& st, int slot, const route::Ipv6Table& table) {
   auto& copy = st.copies[slot];
-  const auto slots = flat.slots();
+  const auto slots = table.slots();
   const std::size_t needed =
-      std::max<std::size_t>(slots.size_bytes(), sizeof(route::Ipv6FlatTable::Slot));
+      std::max<std::size_t>(slots.size_bytes(), sizeof(route::Ipv6Table::Slot));
   if (needed > copy.slot_capacity_bytes) {
     // Grow with headroom so routine FIB churn does not reallocate.
     copy.slot_capacity_bytes = needed + needed / 2;
@@ -38,15 +38,15 @@ void DynamicIpv6ForwardApp::upload(GpuState& st, int slot, const route::Ipv6Flat
                           {reinterpret_cast<const u8*>(slots.data()), slots.size_bytes()});
   }
 
-  const auto offsets = flat.level_offsets();
+  const auto offsets = table.level_offsets();
   if (!copy.offsets.valid()) copy.offsets = st.device->alloc(offsets.size_bytes());
   st.device->memcpy_h2d(copy.offsets, 0,
                         {reinterpret_cast<const u8*>(offsets.data()), offsets.size_bytes()});
-  const auto masks = flat.level_masks();
+  const auto masks = table.level_masks();
   if (!copy.masks.valid()) copy.masks = st.device->alloc(masks.size_bytes());
   st.device->memcpy_h2d(copy.masks, 0,
                         {reinterpret_cast<const u8*>(masks.data()), masks.size_bytes()});
-  copy.default_nh = flat.default_route();
+  copy.default_nh = table.default_route();
 }
 
 void DynamicIpv6ForwardApp::bind_gpu(gpu::GpuDevice& device) {
@@ -57,7 +57,7 @@ void DynamicIpv6ForwardApp::bind_gpu(gpu::GpuDevice& device) {
   st->output = device.alloc(kMaxBatchItems * sizeof(u16));
 
   const auto snapshot = fib_.snapshot();
-  upload(*st, 0, snapshot->flat());
+  upload(*st, 0, *snapshot);
   st->generation = fib_.generation();
   st->active.store(0, std::memory_order_release);
   gpu_state_.emplace(device.gpu_id(), std::move(st));
@@ -70,7 +70,7 @@ int DynamicIpv6ForwardApp::sync() {
   for (auto& [id, st] : gpu_state_) {
     if (st->generation == generation) continue;
     const int standby = 1 - st->active.load(std::memory_order_acquire);
-    upload(*st, standby, snapshot->flat());
+    upload(*st, standby, *snapshot);
     st->active.store(standby, std::memory_order_release);
     st->generation = generation;
     ++refreshed;
@@ -102,7 +102,7 @@ core::ShadeOutcome DynamicIpv6ForwardApp::shade(core::GpuContext& gpu,
                                                 Picos submit_time) {
   auto& st = *gpu_state_.at(gpu.device->gpu_id());
   const auto& copy = st.copies[st.active.load(std::memory_order_acquire)];
-  const auto* slots = copy.slots.as<const route::Ipv6FlatTable::Slot>();
+  const auto* slots = copy.slots.as<const route::Ipv6Table::Slot>();
   const auto* offsets = copy.offsets.as<const u32>();
   const auto* masks = copy.masks.as<const u32>();
   const route::NextHop default_nh = copy.default_nh;
@@ -115,7 +115,7 @@ core::ShadeOutcome DynamicIpv6ForwardApp::shade(core::GpuContext& gpu,
         .body =
             [=](gpu::ThreadCtx& ctx) {
               const u32 tid = ctx.thread_id();
-              out[tid] = route::Ipv6FlatTable::lookup_in_arrays(
+              out[tid] = route::Ipv6Table::lookup_in_arrays(
                   slots, offsets, masks, in[tid * 2], in[tid * 2 + 1], default_nh);
             },
         // Seven dependent hash probes per lookup, each a random device-
@@ -139,7 +139,7 @@ void DynamicIpv6ForwardApp::shade_cpu(core::ShaderJob& job) {
   job.gpu_output.resize(job.gpu_items * sizeof(u16));
   auto* out = reinterpret_cast<u16*>(job.gpu_output.data());
   u64 probes = 0;
-  table->flat().lookup_batch(in, out, job.gpu_items, &probes);
+  table->lookup_batch(in, out, job.gpu_items, &probes);
   perf::charge_cpu_cycles(static_cast<double>(probes) *
                           perf::kCpuIpv6LookupBatchCyclesPerProbe);
 }
@@ -151,7 +151,6 @@ void DynamicIpv6ForwardApp::process_cpu(iengine::PacketChunk& chunk) {
   // Eligible destinations are gathered as interleaved hi/lo words, and the
   // batch API accumulates the probe count each block is charged for.
   const auto table = fib_.read();
-  const route::Ipv6FlatTable& flat = table->flat();
   process_lookups<u64, 2>(
       chunk,
       [&](u32 i) {
@@ -166,7 +165,7 @@ void DynamicIpv6ForwardApp::process_cpu(iengine::PacketChunk& chunk) {
       },
       [&](const u64* keys, route::NextHop* nhs, u32 n) {
         u64 probes = 0;
-        flat.lookup_batch(keys, nhs, n, &probes);
+        table->lookup_batch(keys, nhs, n, &probes);
         perf::charge_cpu_cycles(static_cast<double>(probes) *
                                 perf::kCpuIpv6LookupBatchCyclesPerProbe);
       });

@@ -4,8 +4,8 @@
 // routes may change while the router forwards (section 7). A static table
 // is a FIB that never receives an update.
 //
-// Every FIB generation carries its flattened per-length hash tables
-// (Ipv6Table::flat()): the CPU paths walk them on the pinned generation,
+// Every FIB generation is an Ipv6Table, whose flat per-length hash arrays
+// are the whole table: the CPU paths walk them on the pinned generation,
 // and each GPU holds up to two device copies of them. sync() uploads a
 // committed generation into the standby copy (allocating or growing it
 // when the table outgrew its reservation) and flips atomically.
@@ -59,7 +59,7 @@ class DynamicIpv6ForwardApp final : public core::Shader {
     u64 generation = 0;
   };
 
-  void upload(GpuState& st, int slot, const route::Ipv6FlatTable& flat);
+  void upload(GpuState& st, int slot, const route::Ipv6Table& table);
 
   route::Ipv6Fib& fib_;
   std::unordered_map<int, std::unique_ptr<GpuState>> gpu_state_;

@@ -28,6 +28,7 @@
 #include <deque>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -60,9 +61,12 @@ struct CommitResult {
 /// when it additionally provides apply_resolved(span<const ResolvedIpv4Op>)
 /// (Ipv4Table does), commits are incremental; otherwise each commit is a
 /// from-scratch rebuild, still epoch-published (Ipv6Table today).
-/// KeyFn maps a prefix to a unique (network, length) key.
+/// KeyFn maps a prefix to its exact (network, length) RIB key, hashed by
+/// std::hash.
 template <typename Table, typename Prefix, typename KeyFn>
 class FibManager {
+  using RibKey = std::invoke_result_t<KeyFn, const Prefix&>;
+
  public:
   static constexpr bool kIncremental =
       requires(Table& t, std::span<const ResolvedIpv4Op> ops) { t.apply_resolved(ops); };
@@ -97,23 +101,28 @@ class FibManager {
   }
 
   /// Announce (add or replace) a route. Takes effect at the next commit.
-  void announce(const Prefix& prefix) {
+  /// Returns false, and queues nothing, when the length exceeds the
+  /// family's maximum or the next hop is above kNoRoute.
+  bool announce(const Prefix& prefix) {
+    if (prefix.length > Prefix::kMaxLength || prefix.next_hop > kNoRoute) return false;
     MutexLock lock(mu_);
-    const u64 key = KeyFn{}(prefix);
+    const RibKey key = KeyFn{}(prefix);
     PendingOp op;
     op.prefix = prefix;
     op.announce = true;
     op.is_new = rib_.find(key) == rib_.end();
     rib_[key] = prefix;
     pending_.push_back(op);
+    return true;
   }
 
   /// Withdraw a route. Takes effect at the next commit. Returns false when
   /// the route was not present. The op is resolved against the RIB *now*
   /// (parent route for the freed range), so applying it later needs no RIB.
   bool withdraw(const Prefix& prefix) {
+    if (prefix.length > Prefix::kMaxLength) return false;
     MutexLock lock(mu_);
-    const u64 key = KeyFn{}(prefix);
+    const RibKey key = KeyFn{}(prefix);
     auto it = rib_.find(key);
     if (it == rib_.end()) return false;
     PendingOp op;
@@ -401,7 +410,7 @@ class FibManager {
   mutable Mutex mu_;
   /// Owner of the published generation; current_ aliases into it.
   std::shared_ptr<Generation> active_ GUARDED_BY(mu_);
-  std::unordered_map<u64, Prefix> rib_ GUARDED_BY(mu_);
+  std::unordered_map<RibKey, Prefix> rib_ GUARDED_BY(mu_);
   std::vector<PendingOp> pending_ GUARDED_BY(mu_);
   std::deque<Batch> journal_ GUARDED_BY(mu_);
 
@@ -426,12 +435,30 @@ struct Ipv4PrefixKey {
   }
 };
 
+/// An IPv6 route's masked address and length: 136 bits, so unlike the
+/// IPv4 key it cannot be packed into a u64 without collisions.
+struct Ipv6RibKey {
+  Key128 network;
+  u8 length = 0;
+  bool operator==(const Ipv6RibKey&) const = default;
+};
+
 struct Ipv6PrefixKey {
-  u64 operator()(const Ipv6Prefix& p) const {
-    const Key128 k = mask128(p.addr.hi64(), p.addr.lo64(), p.length);
-    return Key128Hash{}(k) * 131 + p.length;
+  Ipv6RibKey operator()(const Ipv6Prefix& p) const {
+    return {mask128(p.addr.hi64(), p.addr.lo64(), p.length), p.length};
   }
 };
+
+}  // namespace ps::route
+
+template <>
+struct std::hash<ps::route::Ipv6RibKey> {
+  std::size_t operator()(const ps::route::Ipv6RibKey& k) const noexcept {
+    return ps::route::Key128Hash{}(k.network) * 131 + k.length;
+  }
+};
+
+namespace ps::route {
 
 using Ipv4Fib = FibManager<Ipv4Table, Ipv4Prefix, Ipv4PrefixKey>;
 using Ipv6Fib = FibManager<Ipv6Table, Ipv6Prefix, Ipv6PrefixKey>;

@@ -19,8 +19,9 @@ using NextHop = u16;
 inline constexpr NextHop kNoRoute = 0x7fff;  // 15-bit next-hop space, all-ones
 
 struct Ipv4Prefix {
+  static constexpr u8 kMaxLength = 32;
   net::Ipv4Addr addr;
-  u8 length = 0;  // 0..32
+  u8 length = 0;  // 0..kMaxLength
   NextHop next_hop = kNoRoute;
 
   u32 network() const { return length == 0 ? 0 : (addr.value & ~((u64{1} << (32 - length)) - 1)); }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <tuple>
 
 namespace ps::route {
 
@@ -18,12 +19,6 @@ u64 mask_top_bits(u64 value, int bits) {
 int bit_at(u64 hi, u64 lo, int index) {
   if (index < 64) return static_cast<int>((hi >> (63 - index)) & 1);
   return static_cast<int>((lo >> (127 - index)) & 1);
-}
-
-u64 flat_hash(u64 hi, u64 lo) {
-  u64 x = hi * 0x9e3779b97f4a7c15ULL ^ lo;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  return x ^ (x >> 31);
 }
 
 }  // namespace
@@ -84,11 +79,6 @@ NextHop Ipv6ReferenceLpm::lookup(const net::Ipv6Addr& addr, int max_length) cons
 // --- binary search on prefix lengths ----------------------------------------
 
 void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
-  for (auto& level : levels_) level.clear();
-  default_nh_ = kNoRoute;
-  prefix_count_ = 0;
-  marker_count_ = 0;
-
   Ipv6ReferenceLpm trie;
   for (const auto& p : prefixes) {
     assert(p.length <= 128);
@@ -96,8 +86,20 @@ void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
     trie.insert(p);
   }
 
+  // Every key of every level, with its best-matching prefix: the longest
+  // real prefix covering the key's bits, at or below its level. A hit can
+  // then record `bmp` and continue toward longer lengths with no
+  // backtracking. The trie is asked in prefix order, which walks nodes
+  // allocated together; asking in key order would miss cache per node.
+  struct LevelKey {
+    Key128 key;
+    NextHop bmp = kNoRoute;
+    bool marker = false;  // false sorts first, so a prefix wins its key
+  };
+  std::array<std::vector<LevelKey>, 129> levels;
+  default_nh_ = kNoRoute;
+  prefix_count_ = prefixes.size();
   for (const auto& p : prefixes) {
-    ++prefix_count_;
     if (p.length == 0) {
       default_nh_ = p.next_hop;
       continue;
@@ -112,14 +114,11 @@ void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
       const int mid = (low + high) / 2;
       const Key128 key = mask128(hi, lo, mid);
       if (p.length == mid) {
-        Entry& e = levels_[mid][key];
-        e.is_prefix = true;
-        e.nh = p.next_hop;
+        levels[mid].push_back({key, trie.lookup_key(key, mid), false});
         break;
       }
       if (p.length > mid) {
-        auto [it, inserted] = levels_[mid].try_emplace(key);
-        if (inserted) ++marker_count_;
+        levels[mid].push_back({key, trie.lookup_key(key, mid), true});
         low = mid + 1;
       } else {
         high = mid - 1;
@@ -128,75 +127,44 @@ void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
     }
   }
 
-  // Precompute every entry's best-matching prefix: the longest real prefix
-  // covering the entry's bits, at or below the entry's level. A hit on the
-  // entry can then immediately record `bmp` and continue toward longer
-  // lengths with no backtracking.
-  for (int length = 1; length <= 128; ++length) {
-    for (auto& [key, entry] : levels_[length]) {
-      entry.bmp = trie.lookup_key(key, length);
-      if (entry.bmp == kNoRoute) entry.bmp = default_nh_;
-    }
-  }
-  build_flat();
-}
-
-NextHop Ipv6Table::lookup(const net::Ipv6Addr& addr, int* probes) const {
-  const u64 hi = addr.hi64();
-  const u64 lo = addr.lo64();
-  NextHop best = default_nh_;
-  int n = 0;
-  int low = 1, high = 128;
-  while (low <= high) {
-    const int mid = (low + high) / 2;
-    ++n;
-    const auto& level = levels_[mid];
-    const auto it = level.find(mask128(hi, lo, mid));
-    if (it != level.end()) {
-      best = it->second.bmp;
-      low = mid + 1;
-    } else {
-      high = mid - 1;
-    }
-  }
-  if (probes != nullptr) *probes = n;
-  return best;
-}
-
-void Ipv6Table::build_flat() {
-  Ipv6FlatTable flat;
-  flat.default_nh_ = default_nh_;
-
-  // Lay out every level first, so the slot array is allocated once at its
-  // final size rather than regrown (and briefly held twice) per level.
+  // Keep one entry per distinct key, then lay out every level so the slot
+  // array is allocated once at its final size. 2x headroom keeps
+  // linear-probe chains short.
+  marker_count_ = 0;
   u32 offset = 0;
   for (int length = 1; length <= 128; ++length) {
-    const auto& level = levels_[length];
-    flat.level_offset_[length] = offset;
-    if (level.empty()) {
-      flat.level_mask_[length] = 0;
-      continue;
-    }
-    // 2x headroom keeps linear-probe chains short.
-    const u32 capacity = static_cast<u32>(std::bit_ceil(level.size() * 2));
-    flat.level_mask_[length] = capacity - 1;
+    auto& keys = levels[length];
+    std::sort(keys.begin(), keys.end(), [](const LevelKey& a, const LevelKey& b) {
+      return std::tie(a.key.hi, a.key.lo, a.marker) < std::tie(b.key.hi, b.key.lo, b.marker);
+    });
+    keys.erase(std::unique(keys.begin(), keys.end(),
+                           [](const LevelKey& a, const LevelKey& b) { return a.key == b.key; }),
+               keys.end());
+    marker_count_ += static_cast<std::size_t>(
+        std::count_if(keys.begin(), keys.end(), [](const LevelKey& k) { return k.marker; }));
+    level_offset_[length] = offset;
+    level_mask_[length] = 0;
+    if (keys.empty()) continue;
+    const u32 capacity = static_cast<u32>(std::bit_ceil(keys.size() * 2));
+    level_mask_[length] = capacity - 1;
     offset += capacity;
   }
-  flat.slots_.resize(offset);
+
+  slots_.assign(offset, Slot{});
   for (int length = 1; length <= 128; ++length) {
-    const u32 mask = flat.level_mask_[length];
-    Ipv6FlatTable::Slot* level_slots = flat.slots_.data() + flat.level_offset_[length];
-    for (const auto& [key, entry] : levels_[length]) {
-      u32 slot = static_cast<u32>(flat_hash(key.hi, key.lo)) & mask;
+    const u32 mask = level_mask_[length];
+    Slot* level_slots = slots_.data() + level_offset_[length];
+    for (const LevelKey& k : levels[length]) {
+      const NextHop bmp = k.bmp == kNoRoute ? default_nh_ : k.bmp;
+      u32 slot = static_cast<u32>(Key128Hash{}(k.key)) & mask;
       while (level_slots[slot].occupied != 0) slot = (slot + 1) & mask;
-      level_slots[slot] = Ipv6FlatTable::Slot{key.hi, key.lo, entry.bmp, 1};
+      level_slots[slot] = Slot{k.key.hi, k.key.lo, bmp, 1};
     }
   }
-  flat_ = std::move(flat);
 }
 
-NextHop Ipv6FlatTable::lookup_in_arrays(const Slot* slots, const u32* offsets, const u32* masks,
-                                        u64 hi, u64 lo, NextHop default_nh, int* probes) {
+NextHop Ipv6Table::lookup_in_arrays(const Slot* slots, const u32* offsets, const u32* masks,
+                                    u64 hi, u64 lo, NextHop default_nh, int* probes) {
   NextHop best = default_nh;
   int n = 0;
   int low = 1, high = 128;
@@ -206,7 +174,7 @@ NextHop Ipv6FlatTable::lookup_in_arrays(const Slot* slots, const u32* offsets, c
     bool found = false;
     if (masks[mid] != 0) {
       const Key128 key = mask128(hi, lo, mid);
-      u32 slot = static_cast<u32>(flat_hash(key.hi, key.lo)) & masks[mid];
+      u32 slot = static_cast<u32>(Key128Hash{}(key)) & masks[mid];
       while (slots[offsets[mid] + slot].occupied != 0) {
         const Slot& s = slots[offsets[mid] + slot];
         if (s.key_hi == key.hi && s.key_lo == key.lo) {
@@ -227,10 +195,9 @@ NextHop Ipv6FlatTable::lookup_in_arrays(const Slot* slots, const u32* offsets, c
   return best;
 }
 
-void Ipv6FlatTable::lookup_batch_in_arrays(const Slot* slots, const u32* offsets,
-                                           const u32* masks, const u64* keys,
-                                           NextHop default_nh, NextHop* out, std::size_t n,
-                                           u64* total_probes) {
+void Ipv6Table::lookup_batch_in_arrays(const Slot* slots, const u32* offsets, const u32* masks,
+                                       const u64* keys, NextHop default_nh, NextHop* out,
+                                       std::size_t n, u64* total_probes) {
   // Walks the binary search of up to kBatchInFlight keys in lockstep. Each
   // wave first computes every live key's hash slot for its current level and
   // prefetches it (part A), then resolves all the probes (part B). The ≤7
@@ -268,7 +235,7 @@ void Ipv6FlatTable::lookup_batch_in_arrays(const Slot* slots, const u32* offsets
         if (low[k] > high[k]) continue;
         midk[k] = mid;
         key[k] = mask128(keys[2 * (base + k)], keys[2 * (base + k) + 1], mid);
-        slot[k] = static_cast<u32>(flat_hash(key[k].hi, key[k].lo)) & masks[mid];
+        slot[k] = static_cast<u32>(Key128Hash{}(key[k])) & masks[mid];
         __builtin_prefetch(&slots[offsets[mid] + slot[k]], 0, 1);
         probing[k] = true;
       }

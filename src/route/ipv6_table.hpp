@@ -9,7 +9,6 @@
 #include <array>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -19,8 +18,9 @@
 namespace ps::route {
 
 struct Ipv6Prefix {
+  static constexpr u8 kMaxLength = 128;
   net::Ipv6Addr addr;
-  u8 length = 0;  // 0..128
+  u8 length = 0;  // 0..kMaxLength
   NextHop next_hop = kNoRoute;
 };
 
@@ -31,6 +31,8 @@ struct Key128 {
   bool operator==(const Key128&) const = default;
 };
 
+/// The one 128-bit hash: places keys in the table's levels and hashes
+/// IPv6 RIB keys.
 struct Key128Hash {
   std::size_t operator()(const Key128& k) const noexcept {
     u64 x = k.hi * 0x9e3779b97f4a7c15ULL ^ k.lo;
@@ -63,11 +65,11 @@ class Ipv6ReferenceLpm {
   std::unique_ptr<Node> root_;
 };
 
-/// Flattened, GPU-friendly layout: one open-addressing (linear probing)
-/// array per prefix length, all levels concatenated. This is what gets
-/// copied into device memory; the GPU kernel and CPU fast path share
-/// lookup_in_arrays().
-class Ipv6FlatTable {
+/// The table is one open-addressing (linear probing) array per prefix
+/// length, all levels concatenated: the layout that gets copied into device
+/// memory, and the one the CPU paths walk. The GPU kernel and the CPU fast
+/// path share lookup_in_arrays().
+class Ipv6Table {
  public:
   struct Slot {
     u64 key_hi = 0;
@@ -76,16 +78,13 @@ class Ipv6FlatTable {
     u16 occupied = 0;
   };
 
-  std::span<const Slot> slots() const { return slots_; }
-  std::span<const u32> level_offsets() const { return {level_offset_.data(), 129}; }
-  std::span<const u32> level_masks() const { return {level_mask_.data(), 129}; }
-  NextHop default_route() const { return default_nh_; }
+  /// Rebuild from a prefix set: places prefixes and binary-search markers,
+  /// and precomputes each slot's best-matching prefix via the reference
+  /// trie so lookups never backtrack. Lengths must be <= 128 and next hops
+  /// <= kNoRoute (FibManager::announce rejects anything else).
+  void build(std::span<const Ipv6Prefix> prefixes);
 
-  /// The shared lookup routine over raw arrays (runs unmodified as the GPU
-  /// kernel body). `probes` counts hash-table memory accesses (<= 7).
-  static NextHop lookup_in_arrays(const Slot* slots, const u32* offsets, const u32* masks,
-                                  u64 hi, u64 lo, NextHop default_nh, int* probes = nullptr);
-
+  /// LPM lookup; `probes` receives the number of hash probes (<= 7).
   NextHop lookup(const net::Ipv6Addr& addr, int* probes = nullptr) const {
     return lookup_in_arrays(slots_.data(), level_offset_.data(), level_mask_.data(),
                             addr.hi64(), addr.lo64(), default_nh_, probes);
@@ -104,6 +103,11 @@ class Ipv6FlatTable {
                            default_nh_, out, n, total_probes);
   }
 
+  /// The shared lookup routine over raw arrays (runs unmodified as the GPU
+  /// kernel body). `probes` counts hash-table memory accesses (<= 7).
+  static NextHop lookup_in_arrays(const Slot* slots, const u32* offsets, const u32* masks,
+                                  u64 hi, u64 lo, NextHop default_nh, int* probes = nullptr);
+
   /// The shared batched routine over raw arrays.
   static void lookup_batch_in_arrays(const Slot* slots, const u32* offsets, const u32* masks,
                                      const u64* keys, NextHop default_nh, NextHop* out,
@@ -114,46 +118,22 @@ class Ipv6FlatTable {
   /// to keep the memory system busy while any one lane's chain stalls.
   static constexpr std::size_t kBatchInFlight = 32;
 
+  std::span<const Slot> slots() const { return slots_; }
+  std::span<const u32> level_offsets() const { return {level_offset_.data(), 129}; }
+  std::span<const u32> level_masks() const { return {level_mask_.data(), 129}; }
+  NextHop default_route() const { return default_nh_; }
+
+  std::size_t prefix_count() const { return prefix_count_; }
+  /// Distinct (length, key) slots that hold a marker and no prefix.
+  std::size_t marker_count() const { return marker_count_; }
+
  private:
-  friend class Ipv6Table;
   std::vector<Slot> slots_;
   std::array<u32, 129> level_offset_{};  // slot index of level L's array
   std::array<u32, 129> level_mask_{};    // capacity-1 of level L (0 = empty)
   NextHop default_nh_ = kNoRoute;
-};
-
-class Ipv6Table {
- public:
-  /// Rebuild from a prefix set: inserts prefixes and binary-search markers,
-  /// then precomputes each entry's best-matching prefix via the reference
-  /// trie so lookups never backtrack.
-  void build(std::span<const Ipv6Prefix> prefixes);
-
-  /// LPM lookup; `probes` receives the number of hash probes (<= 7).
-  NextHop lookup(const net::Ipv6Addr& addr, int* probes = nullptr) const;
-
-  std::size_t prefix_count() const { return prefix_count_; }
-  std::size_t marker_count() const { return marker_count_; }
-
-  /// The same table in the flattened layout, built by build(): what the
-  /// GPU copies and the CPU batch path walks.
-  const Ipv6FlatTable& flat() const { return flat_; }
-
- private:
-  void build_flat();
-
-  struct Entry {
-    bool is_prefix = false;
-    NextHop nh = kNoRoute;   // valid when is_prefix
-    NextHop bmp = kNoRoute;  // best-matching prefix for these bits
-  };
-  using LevelMap = std::unordered_map<Key128, Entry, Key128Hash>;
-
-  std::array<LevelMap, 129> levels_{};  // index = prefix length 1..128
-  NextHop default_nh_ = kNoRoute;
   std::size_t prefix_count_ = 0;
   std::size_t marker_count_ = 0;
-  Ipv6FlatTable flat_;
 };
 
 }  // namespace ps::route

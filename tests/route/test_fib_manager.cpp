@@ -86,6 +86,61 @@ TEST(FibManager, Ipv6VariantWorks) {
   EXPECT_EQ(fib.snapshot()->lookup(net::Ipv6Addr::from_words(0x2001'0000'0000'0001ULL, 0)), 3);
 }
 
+TEST(FibManager, Ipv6DistinctPrefixesWhoseHashesCollide) {
+  // Both /128 keys hash to the same 64-bit value (hi * golden ^ lo is 5
+  // for each); the RIB must still hold them as two routes.
+  const net::Ipv6Addr first = net::Ipv6Addr::from_words(0, 5);
+  const net::Ipv6Addr second = net::Ipv6Addr::from_words(1, 0x9e3779b97f4a7c15ULL ^ 5);
+  Ipv6Fib fib;
+  fib.announce({first, 128, 1});
+  fib.announce({second, 128, 2});
+  fib.commit();
+  EXPECT_EQ(fib.route_count(), 2u);
+  EXPECT_EQ(fib.snapshot()->lookup(first), 1);
+  EXPECT_EQ(fib.snapshot()->lookup(second), 2);
+
+  EXPECT_TRUE(fib.withdraw({first, 128, 1}));
+  fib.commit();
+  EXPECT_EQ(fib.route_count(), 1u);
+  EXPECT_EQ(fib.snapshot()->lookup(first), kNoRoute);
+  EXPECT_EQ(fib.snapshot()->lookup(second), 2);
+}
+
+TEST(FibManager, Ipv4OutOfRangeAnnounceIsRejected) {
+  Ipv4Fib fib;
+  fib.announce(p(10, 0, 8, 1));
+  const u64 generation = fib.commit();
+  const auto published = fib.snapshot();
+
+  constexpr NextHop kTooHigh = kNoRoute + 1;  // tbl24 would read it as a chunk index
+  EXPECT_FALSE(fib.announce(p(10, 0, 33, 2)));
+  EXPECT_FALSE(fib.announce(p(20, 0, 8, kTooHigh)));
+  EXPECT_FALSE(fib.withdraw(p(10, 0, 33, 1)));
+  EXPECT_EQ(fib.pending_updates(), 0u);
+  EXPECT_EQ(fib.commit(), generation);
+  EXPECT_EQ(fib.route_count(), 1u);
+  EXPECT_EQ(fib.snapshot(), published);
+  EXPECT_EQ(fib.snapshot()->lookup(net::Ipv4Addr(10, 0, 0, 1)), 1);
+  EXPECT_EQ(fib.snapshot()->lookup(net::Ipv4Addr(20, 0, 0, 1)), kNoRoute);
+}
+
+TEST(FibManager, Ipv6OutOfRangeAnnounceIsRejected) {
+  const net::Ipv6Addr doc = net::Ipv6Addr::from_words(0x2001'0db8'0000'0000ULL, 0);
+  Ipv6Fib fib;
+  fib.announce({doc, 32, 1});
+  const u64 generation = fib.commit();
+  const auto published = fib.snapshot();
+
+  EXPECT_FALSE(fib.announce({doc, 129, 2}));  // build() could never place it
+  EXPECT_FALSE(fib.announce({doc, 48, static_cast<NextHop>(kNoRoute + 1)}));
+  EXPECT_FALSE(fib.withdraw({doc, 129, 2}));
+  EXPECT_EQ(fib.pending_updates(), 0u);
+  EXPECT_EQ(fib.commit(), generation);
+  EXPECT_EQ(fib.route_count(), 1u);
+  EXPECT_EQ(fib.snapshot(), published);
+  EXPECT_EQ(fib.snapshot()->lookup(doc), 1);
+}
+
 TEST(FibManager, ConcurrentReadersDuringCommits) {
   // Readers continuously look up while the control plane flips tables;
   // every observed result must be one of the two legal next hops.

@@ -1,5 +1,5 @@
-// IPv6 binary search on prefix lengths: correctness against the trie
-// reference, probe bounds (<= 7), and the flattened GPU layout.
+// IPv6 binary search on prefix lengths: correctness of the scalar and
+// batched lookups against the trie reference, and probe bounds (<= 7).
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -88,29 +88,86 @@ TEST(Ipv6Table, MarkersDoNotCreateFalsePositives) {
   Ipv6Table table;
   const Ipv6Prefix prefixes[] = {p6(0x2001'0db8'aaaa'0000ULL, 48, 3)};
   table.build(prefixes);
+  EXPECT_EQ(table.lookup(net::Ipv6Addr::from_words(0x2001'0db8'aaaa'1234ULL, 5)), 3);
   // Shares the first 32 bits (a marker level) but not all 48.
   EXPECT_EQ(table.lookup(net::Ipv6Addr::from_words(0x2001'0db8'bbbb'0000ULL, 0)), kNoRoute);
 }
 
-TEST(Ipv6Table, FlattenedLayoutMatches) {
-  const auto rib = generate_ipv6_rib(3000, 8, 21);
+TEST(Ipv6Table, MarkerCountIgnoresInsertionOrder) {
+  // The /96's search passes level 64 on its way right, at exactly the key
+  // the /64 occupies: one prefix slot, no marker, whichever comes first.
+  const Ipv6Prefix p64 = p6(0x2001'0db8'aaaa'bbbbULL, 64, 1);
+  const Ipv6Prefix p96 = {
+      net::Ipv6Addr::from_words(0x2001'0db8'aaaa'bbbbULL, 0x1234'5678'0000'0000ULL), 96, 2};
+  const Ipv6Prefix forward[] = {p64, p96};
+  const Ipv6Prefix backward[] = {p96, p64};
+  Ipv6Table a;
+  a.build(forward);
+  Ipv6Table b;
+  b.build(backward);
+  EXPECT_EQ(a.marker_count(), 0u);
+  EXPECT_EQ(b.marker_count(), 0u);
+}
+
+/// Prefixes of every length 0..128 with random low words: a default
+/// route, /128 host routes, and prefixes nested inside earlier ones so
+/// markers and best-matching prefixes reach past bit 64 — the part of the
+/// table generate_ipv6_rib (/16../64, zero low word) never builds.
+std::vector<Ipv6Prefix> full_range_rib(u64 seed) {
+  Rng rng(seed);
+  std::vector<Ipv6Prefix> rib = {{net::Ipv6Addr{}, 0, 31}};
+  while (rib.size() < 1500) {
+    u64 hi = rng.next_u64();
+    u64 lo = rng.next_u64();
+    const u8 length =
+        rib.size() % 4 == 0 ? u8{128} : static_cast<u8>(1 + rng.next_below(128));
+    if (rng.next_below(2) == 0) {
+      // Extend a random earlier prefix's bits to the new length.
+      const auto& parent = rib[rng.next_below(rib.size())];
+      if (parent.length < length) {
+        const Key128 keep = mask128(~u64{0}, ~u64{0}, parent.length);
+        hi = (parent.addr.hi64() & keep.hi) | (hi & ~keep.hi);
+        lo = (parent.addr.lo64() & keep.lo) | (lo & ~keep.lo);
+      }
+    }
+    const Key128 key = mask128(hi, lo, length);
+    rib.push_back({net::Ipv6Addr::from_words(key.hi, key.lo), length,
+                   static_cast<NextHop>(rng.next_below(32))});
+  }
+  return rib;
+}
+
+/// Both lookup paths must agree with the trie oracle on random addresses
+/// and on addresses inside (or one bit off) random prefixes.
+void expect_matches_reference(const std::vector<Ipv6Prefix>& rib, u64 seed) {
   Ipv6Table table;
   table.build(rib);
-  const auto& flat = table.flat();
+  Ipv6ReferenceLpm reference;
+  reference.build(rib);
 
-  Rng rng(22);
-  for (int i = 0; i < 3000; ++i) {
-    net::Ipv6Addr addr = net::Ipv6Addr::from_words(rng.next_u64(), rng.next_u64());
+  Rng rng(seed);
+  std::vector<u64> keys;
+  for (int i = 0; i < 1500; ++i) {
+    u64 hi = rng.next_u64();
+    u64 lo = rng.next_u64();
     if (i % 2 == 0) {
+      // Land inside a random prefix to exercise hits and near-misses.
       const auto& prefix = rib[rng.next_below(rib.size())];
-      const u64 host = prefix.length >= 64 ? 0 : rng.next_u64() >> prefix.length;
-      addr = net::Ipv6Addr::from_words(prefix.addr.hi64() | host, rng.next_u64());
+      const Key128 keep = mask128(~u64{0}, ~u64{0}, prefix.length);
+      hi = (prefix.addr.hi64() & keep.hi) | (hi & ~keep.hi);
+      lo = (prefix.addr.lo64() & keep.lo) | (lo & ~keep.lo);
+      if (i % 4 == 0) lo ^= 1;
     }
-    int probes_a = 0, probes_b = 0;
-    const NextHop a = table.lookup(addr, &probes_a);
-    const NextHop b = flat.lookup(addr, &probes_b);
-    EXPECT_EQ(a, b) << addr.to_string();
-    EXPECT_EQ(probes_a, probes_b);
+    keys.push_back(hi);
+    keys.push_back(lo);
+  }
+  std::vector<NextHop> batch(keys.size() / 2);
+  table.lookup_batch(keys.data(), batch.data(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto addr = net::Ipv6Addr::from_words(keys[2 * i], keys[2 * i + 1]);
+    const NextHop want = reference.lookup(addr);
+    EXPECT_EQ(table.lookup(addr), want) << addr.to_string();
+    EXPECT_EQ(batch[i], want) << addr.to_string();
   }
 }
 
@@ -118,23 +175,8 @@ TEST(Ipv6Table, FlattenedLayoutMatches) {
 class Ipv6TablePropertyTest : public ::testing::TestWithParam<u64> {};
 
 TEST_P(Ipv6TablePropertyTest, MatchesReferenceTrie) {
-  const auto rib = generate_ipv6_rib(1500, 32, GetParam());
-  Ipv6Table table;
-  table.build(rib);
-  Ipv6ReferenceLpm reference;
-  reference.build(rib);
-
-  Rng rng(GetParam() + 500);
-  for (int i = 0; i < 1500; ++i) {
-    net::Ipv6Addr addr = net::Ipv6Addr::from_words(rng.next_u64(), rng.next_u64());
-    if (i % 2 == 0) {
-      // Land inside a random prefix to exercise hits and near-misses.
-      const auto& prefix = rib[rng.next_below(rib.size())];
-      const u64 host = prefix.length >= 64 ? 0 : rng.next_u64() >> prefix.length;
-      addr = net::Ipv6Addr::from_words(prefix.addr.hi64() | host, rng.next_u64());
-    }
-    EXPECT_EQ(table.lookup(addr), reference.lookup(addr)) << addr.to_string();
-  }
+  expect_matches_reference(generate_ipv6_rib(1500, 32, GetParam()), GetParam() + 500);
+  expect_matches_reference(full_range_rib(GetParam() + 1000), GetParam() + 1500);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Ipv6TablePropertyTest, ::testing::Values(101, 102, 103, 104));

@@ -86,14 +86,13 @@ TEST(Ipv4LookupBatch, EmptyAndTinyInputs) {
   EXPECT_EQ(out, kNoRoute);
 }
 
-void expect_ipv6_batch_matches_scalar(const Ipv6FlatTable& flat,
-                                      const std::vector<u64>& keys) {
+void expect_ipv6_batch_matches_scalar(const Ipv6Table& table, const std::vector<u64>& keys) {
   const std::size_t n = keys.size() / 2;
   std::vector<NextHop> scalar(n);
   u64 scalar_probes = 0;
   for (std::size_t i = 0; i < n; ++i) {
     int probes = 0;
-    scalar[i] = flat.lookup(net::Ipv6Addr::from_words(keys[2 * i], keys[2 * i + 1]), &probes);
+    scalar[i] = table.lookup(net::Ipv6Addr::from_words(keys[2 * i], keys[2 * i + 1]), &probes);
     scalar_probes += static_cast<u64>(probes);
   }
   for (const std::size_t batch : kBatchSizes) {
@@ -102,7 +101,7 @@ void expect_ipv6_batch_matches_scalar(const Ipv6FlatTable& flat,
     for (std::size_t i = 0; i < n; i += batch) {
       const std::size_t m = std::min(batch, n - i);
       u64 probes = 0;
-      flat.lookup_batch(keys.data() + 2 * i, got.data() + i, m, &probes);
+      table.lookup_batch(keys.data() + 2 * i, got.data() + i, m, &probes);
       batch_probes += probes;
     }
     ASSERT_EQ(got, scalar) << "batch size " << batch;
@@ -116,7 +115,6 @@ TEST(Ipv6LookupBatch, MatchesScalarOnRandomRib) {
   const auto rib = generate_ipv6_rib(20000, 8, 42);
   Ipv6Table table;
   table.build(rib);
-  const auto& flat = table.flat();
 
   Rng rng(7);
   std::vector<u64> keys(2 * 3000);
@@ -126,7 +124,7 @@ TEST(Ipv6LookupBatch, MatchesScalarOnRandomRib) {
     keys[4 * i] = covered[i].hi64();
     keys[4 * i + 1] = covered[i].lo64();
   }
-  expect_ipv6_batch_matches_scalar(flat, keys);
+  expect_ipv6_batch_matches_scalar(table, keys);
 }
 
 TEST(Ipv6LookupBatch, MatchesScalarWithMaxLengthPrefixes) {
@@ -143,7 +141,6 @@ TEST(Ipv6LookupBatch, MatchesScalarWithMaxLengthPrefixes) {
   }
   Ipv6Table table;
   table.build(rib);
-  const auto& flat = table.flat();
 
   std::vector<u64> keys;
   // Exact /128 addresses (must match), near misses, and random keys.
@@ -157,21 +154,20 @@ TEST(Ipv6LookupBatch, MatchesScalarWithMaxLengthPrefixes) {
     keys.push_back(rng.next_u64());
     keys.push_back(rng.next_u64());
   }
-  expect_ipv6_batch_matches_scalar(flat, keys);
+  expect_ipv6_batch_matches_scalar(table, keys);
 }
 
 TEST(Ipv6LookupBatch, EmptyTableAndEmptyInput) {
   Ipv6Table table;
   table.build({});
-  const auto& flat = table.flat();
-  flat.lookup_batch(nullptr, nullptr, 0);
+  table.lookup_batch(nullptr, nullptr, 0);
   const u64 key[2] = {0x2001'0db8'0000'0000ull, 0};
   NextHop out = 0;
   u64 probes = 0;
-  flat.lookup_batch(key, &out, 1, &probes);
+  table.lookup_batch(key, &out, 1, &probes);
   EXPECT_EQ(out, kNoRoute);
   int scalar_probes = 0;
-  EXPECT_EQ(flat.lookup(net::Ipv6Addr::from_words(key[0], key[1]), &scalar_probes), kNoRoute);
+  EXPECT_EQ(table.lookup(net::Ipv6Addr::from_words(key[0], key[1]), &scalar_probes), kNoRoute);
   EXPECT_EQ(probes, static_cast<u64>(scalar_probes));
 }
 

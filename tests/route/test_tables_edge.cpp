@@ -124,20 +124,6 @@ TEST(Ipv6Edge, SiblingPrefixesDoNotBleed) {
   EXPECT_EQ(table.lookup(net::Ipv6Addr::from_words(0xaaaa'cccc'0000'0000ULL, 0)), kNoRoute);
 }
 
-TEST(Ipv6Edge, FlattenedEmptyAndTinyTables) {
-  Ipv6Table empty;
-  empty.build({});
-  const auto& flat = empty.flat();
-  EXPECT_EQ(flat.lookup(net::Ipv6Addr::from_words(123, 456)), kNoRoute);
-
-  Ipv6Table one;
-  const Ipv6Prefix single[] = {{net::Ipv6Addr::from_words(0x5555'0000'0000'0000ULL, 0), 16, 7}};
-  one.build(single);
-  const auto& flat_one = one.flat();
-  EXPECT_EQ(flat_one.lookup(net::Ipv6Addr::from_words(0x5555'1234'0000'0000ULL, 0)), 7);
-  EXPECT_EQ(flat_one.lookup(net::Ipv6Addr::from_words(0x5556'0000'0000'0000ULL, 0)), kNoRoute);
-}
-
 TEST(Ipv4Edge, FullTableRebuildStressRandomized) {
   // Repeated rebuilds with random tables must stay consistent with a
   // reference — guards the chunk-allocation reuse logic.
