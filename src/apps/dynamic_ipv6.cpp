@@ -121,6 +121,8 @@ core::ShadeOutcome DynamicIpv6ForwardApp::shade(core::GpuContext& gpu,
         // Seven dependent hash probes per lookup, each a random device-
         // memory access (section 6.2.2); a probe touches a 24 B slot that
         // straddles GDDR5 segments, so ~1.5 segments of bandwidth per probe.
+        // Seven holds because every benchmarked RIB is /16../64; only a
+        // table holding a /127 or /128 makes a search take an eighth step.
         .cost = {.instructions = 7 * perf::kGpuIpv6LookupInstrPerProbe,
                  .mem_accesses = 7.0,
                  .bytes_per_access = 48},

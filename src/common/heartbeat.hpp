@@ -3,9 +3,7 @@
 // Every supervised thread (worker, master) owns one Heartbeat and ticks
 // it at the top of its loop; a supervisor thread samples the counters and
 // declares a thread stalled when the beat counter stops advancing for
-// longer than the configured window. `beats` proves the loop is alive,
-// `progress` proves it is doing useful work (chunks moved) — a thread can
-// be live but starved, and the supervisor can tell the two apart.
+// longer than the configured window.
 //
 // Heartbeats are embedded as CacheAligned<Heartbeat> so the per-thread
 // counters never share a cache line (the §4.4 false-sharing discipline
@@ -23,17 +21,13 @@ namespace ps {
 struct Heartbeat {
   // mc: heartbeat.beats -- release tick; supervisor acquires (quarantine edge)
   ps::atomic<u64> beats{0};  // loop-alive ticks
-  // mc: heartbeat.progress -- relaxed useful-work counter
-  ps::atomic<u64> progress{0};  // units of useful work (e.g. chunks)
 
   /// Release order so everything the thread did before the beat (queue
   /// writes, ring handoffs) is visible to a supervisor that acquires it —
   /// the quarantine handshake relies on this edge.
   void beat() { beats.fetch_add(1, std::memory_order_release); }
-  void advance(u64 n = 1) { progress.fetch_add(n, std::memory_order_relaxed); }
 
   u64 beats_now() const { return beats.load(std::memory_order_acquire); }
-  u64 progress_now() const { return progress.load(std::memory_order_relaxed); }
 };
 
 }  // namespace ps

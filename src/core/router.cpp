@@ -15,6 +15,12 @@ constexpr std::chrono::microseconds kIdleSleep{20};
 constexpr std::chrono::milliseconds kMasterIdleTick{1};
 /// Park quantum for a simulated hang.
 constexpr std::chrono::microseconds kHangPollSleep{100};
+/// Master-queue depth, as a fraction of its capacity, above which a worker
+/// shrinks its RX batch to bp_reduced_batch with per-port fair shares.
+constexpr double kBpHighWatermark = 0.75;
+/// Depth fraction below which the worker returns to full batches
+/// (hysteresis, so the batch size does not flap at the threshold).
+constexpr double kBpLowWatermark = 0.25;
 }
 
 Router::Router(iengine::PacketIoEngine& engine, std::vector<gpu::GpuDevice*> gpus,
@@ -209,7 +215,6 @@ bool Router::recv_and_dispatch(WorkerRuntime& worker, iengine::IoHandle* handle,
   st.packets_in.fetch_add(n, std::memory_order_relaxed);
   st.in_flight_packets.fetch_add(n, std::memory_order_relaxed);
   if (tracer_ != nullptr) job->trace_slot = tracer_->begin_span(n);
-  heartbeats_[static_cast<std::size_t>(worker.id)].value.advance(n);
   if (adopted) st.adopted_chunks.fetch_add(1, std::memory_order_relaxed);
   if (worker.bp_active) st.bp_reduced_batches.fetch_add(1, std::memory_order_relaxed);
   pipeline_.admit(job->chunk);
@@ -321,12 +326,12 @@ void Router::worker_loop(WorkerRuntime& worker) {
     u32 batch_cap = config_.chunk_capacity;
     u32 per_queue_cap = config_.chunk_capacity;
     bool divert_cpu = false;
-    if (config_.use_gpu && config_.backpressure) {
+    if (config_.use_gpu) {
       const std::size_t depth = node.master_in->size();
       const std::size_t cap = node.master_in->capacity();
       if (depth >= cap) divert_cpu = true;
-      const auto high = static_cast<std::size_t>(static_cast<double>(cap) * config_.bp_high_watermark);
-      const auto low = static_cast<std::size_t>(static_cast<double>(cap) * config_.bp_low_watermark);
+      const auto high = static_cast<std::size_t>(static_cast<double>(cap) * kBpHighWatermark);
+      const auto low = static_cast<std::size_t>(static_cast<double>(cap) * kBpLowWatermark);
       if (worker.bp_active) {
         if (depth <= low) worker.bp_active = false;  // hysteresis
       } else if (depth >= high) {
@@ -515,7 +520,6 @@ void Router::master_loop(int node_id) {
     node.trace_batch = {batch.data(), batch.size()};
     shade_batch(node, {batch.data(), batch.size()});
     node.trace_batch = {};
-    hb.advance(n);
 
     // After shading and shadow verification (a failed device pass may
     // also leave partial D2H bytes the copy path overwrites later).
@@ -624,7 +628,7 @@ void Router::start() {
   for (auto& worker : workers_) {
     threads_.emplace_back([this, w = worker.get()] { worker_loop(*w); });
   }
-  if (config_.supervise) supervisor_.start();
+  supervisor_.start();
 }
 
 void Router::stop() {
@@ -669,13 +673,6 @@ WorkerStats Router::total_stats() const {
     }
   }
   return total;
-}
-
-std::vector<WorkerStats> Router::worker_stats() const {
-  std::vector<WorkerStats> out;
-  out.reserve(stats_.size());
-  for (const auto& slot : stats_) out.push_back(slot->snapshot());
-  return out;
 }
 
 ConservationAudit Router::audit() const {

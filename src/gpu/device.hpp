@@ -96,9 +96,6 @@ struct GpuResult {
   Picos duration() const { return end - start; }
 };
 
-/// Legacy name: call sites that only consume timing keep compiling.
-using OpTiming = GpuResult;
-
 /// Data-path operation classes, for the op observer below.
 enum class GpuOp : u8 { kH2d = 0, kKernel, kD2h };
 
@@ -153,10 +150,6 @@ class GpuDevice {
   /// streams put the device in "streamed" mode, which adds the per-CUDA-
   /// call overhead the paper observed hurting lightweight kernels (§5.4).
   StreamId create_stream();
-  u32 stream_count() const {
-    MutexLock lock(op_mu_);
-    return static_cast<u32>(streams_.size());
-  }
 
   // --- operations ----------------------------------------------------------
   // Each performs the work immediately (functionally) and returns status +

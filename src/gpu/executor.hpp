@@ -69,8 +69,6 @@ class SimtExecutor {
   /// `track_divergence` enables per-warp path tracking (small overhead).
   ExecStats run(u32 threads, const KernelBody& body, bool track_divergence = false);
 
-  unsigned worker_count() const { return static_cast<unsigned>(workers_.size()); }
-
   static unsigned default_worker_count() {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 4 : std::min(hw, 8u);

@@ -47,7 +47,6 @@ struct PacketView {
   TcpHeader& tcp() const { return *reinterpret_cast<TcpHeader*>(data + l4_offset); }
 
   std::span<u8> bytes() const { return {data, length}; }
-  std::span<u8> l3_bytes() const { return {data + l3_offset, length - l3_offset}; }
   std::span<u8> l4_bytes() const {
     return has_l4 ? std::span<u8>{data + l4_offset, length - l4_offset} : std::span<u8>{};
   }

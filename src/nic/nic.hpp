@@ -163,7 +163,6 @@ class NicPort {
   // --- statistics ----------------------------------------------------------
 
   QueueStats rx_queue_stats(u16 queue) const { return rx_stats_[queue]->snapshot(); }
-  QueueStats tx_queue_stats(u16 queue) const { return tx_stats_[queue]->snapshot(); }
 
   /// Per-port totals, accumulated from per-queue counters on demand — the
   /// cheap-statistics design of section 4.4 (cost paid only on the rare

@@ -102,7 +102,6 @@ void FibUpdater::run() {
     }
     if (result.status == CommitStatus::kCommitted) {
       commits_.fetch_add(1, std::memory_order_relaxed);
-      hb_.advance(result.ops);
       backoff = config_.backoff_base;
       cv_.notify_all();  // drain() waiters
       continue;

@@ -60,46 +60,38 @@ void Ipv6ReferenceLpm::build(std::span<const Ipv6Prefix> prefixes) {
   for (const auto& p : prefixes) insert(p);
 }
 
-NextHop Ipv6ReferenceLpm::lookup_key(const Key128& key, int max_length) const {
+NextHop Ipv6ReferenceLpm::lookup(const net::Ipv6Addr& addr) const {
+  const u64 hi = addr.hi64();
+  const u64 lo = addr.lo64();
   NextHop best = kNoRoute;
   const Node* node = root_.get();
   if (node->has_nh) best = node->nh;
-  for (int i = 0; i < max_length; ++i) {
-    node = node->child[bit_at(key.hi, key.lo, i)].get();
+  for (int i = 0; i < 128; ++i) {
+    node = node->child[bit_at(hi, lo, i)].get();
     if (node == nullptr) break;
     if (node->has_nh) best = node->nh;
   }
   return best;
 }
 
-NextHop Ipv6ReferenceLpm::lookup(const net::Ipv6Addr& addr, int max_length) const {
-  return lookup_key({addr.hi64(), addr.lo64()}, max_length);
-}
-
 // --- binary search on prefix lengths ----------------------------------------
 
 void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
-  Ipv6ReferenceLpm trie;
-  for (const auto& p : prefixes) {
-    assert(p.length <= 128);
-    assert(p.next_hop <= kNoRoute);
-    trie.insert(p);
-  }
-
-  // Every key of every level, with its best-matching prefix: the longest
-  // real prefix covering the key's bits, at or below its level. A hit can
-  // then record `bmp` and continue toward longer lengths with no
-  // backtracking. The trie is asked in prefix order, which walks nodes
-  // allocated together; asking in key order would miss cache per node.
+  // Every key of every level: a prefix with its next hop, or a marker
+  // whose best-matching prefix is looked up when its level is filled.
   struct LevelKey {
     Key128 key;
-    NextHop bmp = kNoRoute;
+    u32 order = 0;  // position in `prefixes`: the last duplicate wins
+    NextHop next_hop = kNoRoute;
     bool marker = false;  // false sorts first, so a prefix wins its key
   };
   std::array<std::vector<LevelKey>, 129> levels;
   default_nh_ = kNoRoute;
   prefix_count_ = prefixes.size();
-  for (const auto& p : prefixes) {
+  for (u32 order = 0; order < prefixes.size(); ++order) {
+    const Ipv6Prefix& p = prefixes[order];
+    assert(p.length <= 128);
+    assert(p.next_hop <= kNoRoute);
     if (p.length == 0) {
       default_nh_ = p.next_hop;
       continue;
@@ -114,11 +106,11 @@ void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
       const int mid = (low + high) / 2;
       const Key128 key = mask128(hi, lo, mid);
       if (p.length == mid) {
-        levels[mid].push_back({key, trie.lookup_key(key, mid), false});
+        levels[mid].push_back({key, order, p.next_hop, false});
         break;
       }
       if (p.length > mid) {
-        levels[mid].push_back({key, trie.lookup_key(key, mid), true});
+        levels[mid].push_back({key, order, kNoRoute, true});
         low = mid + 1;
       } else {
         high = mid - 1;
@@ -127,7 +119,8 @@ void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
     }
   }
 
-  // Keep one entry per distinct key, then lay out every level so the slot
+  // Keep one entry per distinct key (a prefix before a marker, a later
+  // duplicate before an earlier one), then lay out every level so the slot
   // array is allocated once at its final size. 2x headroom keeps
   // linear-probe chains short.
   marker_count_ = 0;
@@ -135,7 +128,8 @@ void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
   for (int length = 1; length <= 128; ++length) {
     auto& keys = levels[length];
     std::sort(keys.begin(), keys.end(), [](const LevelKey& a, const LevelKey& b) {
-      return std::tie(a.key.hi, a.key.lo, a.marker) < std::tie(b.key.hi, b.key.lo, b.marker);
+      return std::tie(a.key.hi, a.key.lo, a.marker, b.order) <
+             std::tie(b.key.hi, b.key.lo, b.marker, a.order);
     });
     keys.erase(std::unique(keys.begin(), keys.end(),
                            [](const LevelKey& a, const LevelKey& b) { return a.key == b.key; }),
@@ -150,16 +144,28 @@ void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
     offset += capacity;
   }
 
+  // Fill the levels shortest first. A marker's best-matching prefix is the
+  // longest prefix shorter than its level that covers its key, which is
+  // what a lookup returns while only the shorter levels are filled
+  // (`filled` holds their masks; every longer level reads as empty). A hit
+  // can then record `bmp` and continue toward longer lengths with no
+  // backtracking.
   slots_.assign(offset, Slot{});
+  std::array<u32, 129> filled{};
   for (int length = 1; length <= 128; ++length) {
     const u32 mask = level_mask_[length];
     Slot* level_slots = slots_.data() + level_offset_[length];
     for (const LevelKey& k : levels[length]) {
-      const NextHop bmp = k.bmp == kNoRoute ? default_nh_ : k.bmp;
+      NextHop bmp = k.next_hop == kNoRoute ? default_nh_ : k.next_hop;
+      if (k.marker) {
+        bmp = lookup_in_arrays(slots_.data(), level_offset_.data(), filled.data(), k.key.hi,
+                               k.key.lo, default_nh_);
+      }
       u32 slot = static_cast<u32>(Key128Hash{}(k.key)) & mask;
       while (level_slots[slot].occupied != 0) slot = (slot + 1) & mask;
       level_slots[slot] = Slot{k.key.hi, k.key.lo, bmp, 1};
     }
+    filled[length] = mask;
   }
 }
 
@@ -200,7 +206,7 @@ void Ipv6Table::lookup_batch_in_arrays(const Slot* slots, const u32* offsets, co
                                        std::size_t n, u64* total_probes) {
   // Walks the binary search of up to kBatchInFlight keys in lockstep. Each
   // wave first computes every live key's hash slot for its current level and
-  // prefetches it (part A), then resolves all the probes (part B). The ≤7
+  // prefetches it (part A), then resolves all the probes (part B). The ≤8
   // dependent probes of a single key are unavoidable latency; across keys
   // they are independent, so the group overlaps them.
   u64 probes_acc = 0;

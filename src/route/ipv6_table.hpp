@@ -1,9 +1,10 @@
 // IPv6 longest-prefix matching by binary search on prefix lengths
 // (Waldvogel, Varghese, Turner, Plattner, SIGCOMM'97) — the algorithm of
 // section 6.2.2. Per-length hash tables hold prefixes plus "markers" with
-// precomputed best-matching prefixes, so a lookup needs at most
-// ceil(log2(128)) = 7 hash probes and never backtracks. The paper cites
-// exactly these seven memory accesses per lookup.
+// precomputed best-matching prefixes, so a lookup never backtracks. The
+// search over lengths 1..128 takes at most 8 steps; 7 unless the table
+// holds a /127 or /128, since only a hit at /127 sends it on to /128. The
+// paper cites seven memory accesses per lookup.
 #pragma once
 
 #include <array>
@@ -44,8 +45,8 @@ struct Key128Hash {
 /// First `bits` bits of (hi, lo), rest zeroed. bits in [0, 128].
 Key128 mask128(u64 hi, u64 lo, int bits);
 
-/// Reference LPM: a binary trie over up to 128 bits. Used for marker
-/// precomputation at build time and as the test oracle.
+/// Reference LPM: a binary trie over up to 128 bits, one node per bit.
+/// The tests' independent oracle; Ipv6Table::build does not use it.
 class Ipv6ReferenceLpm {
  public:
   Ipv6ReferenceLpm();
@@ -56,9 +57,8 @@ class Ipv6ReferenceLpm {
   void insert(const Ipv6Prefix& prefix);
   void build(std::span<const Ipv6Prefix> prefixes);
 
-  /// Longest matching prefix with length <= max_length.
-  NextHop lookup(const net::Ipv6Addr& addr, int max_length = 128) const;
-  NextHop lookup_key(const Key128& key, int max_length = 128) const;
+  /// Longest matching prefix.
+  NextHop lookup(const net::Ipv6Addr& addr) const;
 
  private:
   struct Node;
@@ -79,12 +79,16 @@ class Ipv6Table {
   };
 
   /// Rebuild from a prefix set: places prefixes and binary-search markers,
-  /// and precomputes each slot's best-matching prefix via the reference
-  /// trie so lookups never backtrack. Lengths must be <= 128 and next hops
-  /// <= kNoRoute (FibManager::announce rejects anything else).
+  /// and precomputes each slot's best-matching prefix so lookups never
+  /// backtrack. No trie is built: levels are filled shortest first, and a
+  /// marker's best-matching prefix is what lookup_in_arrays() returns over
+  /// the levels already filled. When the same prefix appears twice the
+  /// last next hop wins. Lengths must be <= 128 and next hops <= kNoRoute
+  /// (FibManager::announce rejects anything else).
   void build(std::span<const Ipv6Prefix> prefixes);
 
-  /// LPM lookup; `probes` receives the number of hash probes (<= 7).
+  /// LPM lookup; `probes` receives the number of search steps, empty
+  /// levels included (<= 8; 7 unless the table holds a /127 or /128).
   NextHop lookup(const net::Ipv6Addr& addr, int* probes = nullptr) const {
     return lookup_in_arrays(slots_.data(), level_offset_.data(), level_mask_.data(),
                             addr.hi64(), addr.lo64(), default_nh_, probes);
@@ -94,9 +98,10 @@ class Ipv6Table {
   /// (keys[2*j] = hi, keys[2*j+1] = lo), the same layout the shader stages
   /// into `gpu_input`. Walks the binary search of `kBatchInFlight` keys in
   /// lockstep, level wave by level wave, prefetching every in-flight key's
-  /// hash slot before any is probed so the ≤7 dependent probes of one key
+  /// hash slot before any is probed so the ≤8 dependent probes of one key
   /// overlap with the other keys' instead of serialising. When non-null,
-  /// `total_probes` accumulates hash-table accesses across all n keys.
+  /// `total_probes` accumulates search steps across all n keys, counted as
+  /// lookup() counts them.
   void lookup_batch(const u64* keys, NextHop* out, std::size_t n,
                     u64* total_probes = nullptr) const {
     lookup_batch_in_arrays(slots_.data(), level_offset_.data(), level_mask_.data(), keys,
@@ -104,7 +109,9 @@ class Ipv6Table {
   }
 
   /// The shared lookup routine over raw arrays (runs unmodified as the GPU
-  /// kernel body). `probes` counts hash-table memory accesses (<= 7).
+  /// kernel body, and gives build() its markers' best-matching prefixes).
+  /// `probes` counts search steps, empty levels included (<= 8; 7 unless
+  /// the table holds a /127 or /128).
   static NextHop lookup_in_arrays(const Slot* slots, const u32* offsets, const u32* masks,
                                   u64 hi, u64 lo, NextHop default_nh, int* probes = nullptr);
 
@@ -114,7 +121,7 @@ class Ipv6Table {
                                      std::size_t n, u64* total_probes = nullptr);
 
   /// Keys kept in flight by lookup_batch. Wider than Ipv4Table's group:
-  /// each key carries up to 7 dependent probes, so more lanes are needed
+  /// each key carries up to 8 dependent probes, so more lanes are needed
   /// to keep the memory system busy while any one lane's chain stalls.
   static constexpr std::size_t kBatchInFlight = 32;
 

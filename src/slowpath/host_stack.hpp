@@ -48,8 +48,6 @@ class HostStack {
   /// stays bounded whatever the data path feeds it.
   void set_local_capacity(std::size_t capacity) { local_capacity_ = capacity; }
   std::size_t local_capacity() const { return local_capacity_; }
-  /// Consume the retained queue (a local daemon reading its socket).
-  void drain_local() { local_.clear(); }
 
   const HostStackStats& stats() const { return stats_; }
 

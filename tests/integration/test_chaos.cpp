@@ -99,7 +99,7 @@ TEST(Chaos, GpuFailureRecoveryWithZeroUnaccountedLoss) {
       30s));
   router.stop();
 
-  const auto stats = router.stats();
+  const auto stats = router.total_stats();
   const auto health = router.gpu_health(0);
 
   // --- full accounting: nothing silently lost ------------------------------
@@ -173,13 +173,13 @@ TEST(Chaos, TxLinkFlapExhaustsRetryAndCountsRingFullDrops) {
   // everything accepted reaches the sink except the TX-flap casualties.
   EXPECT_TRUE(wait_for(
       [&] {
-        const auto s = router.stats();
+        const auto s = router.total_stats();
         return traffic.sunk_packets() + s.drops(iengine::DropReason::kRingFull) == accepted;
       },
       30s));
   router.stop();
 
-  const auto stats = router.stats();
+  const auto stats = router.total_stats();
   EXPECT_EQ(stats.packets_in, accepted);
   EXPECT_EQ(stats.packets_out + stats.dropped() + stats.slow_path, stats.packets_in);
   EXPECT_EQ(stats.packets_out, traffic.sunk_packets());
@@ -226,7 +226,7 @@ TEST(Chaos, RxLinkFlapRejectsFramesAtTheWire) {
   EXPECT_TRUE(wait_for([&] { return traffic.sunk_packets() == accepted; }, 30s));
   router.stop();
 
-  const auto stats = router.stats();
+  const auto stats = router.total_stats();
   u64 hw_rx_drops = 0;
   for (auto* port : testbed.ports()) hw_rx_drops += port->rx_totals().drops;
   EXPECT_EQ(hw_rx_drops, 400u);

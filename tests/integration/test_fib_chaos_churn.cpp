@@ -218,11 +218,11 @@ TEST(FibChaosChurn, FaultedChurnUnderTrafficStaysCorrectAndConservesPackets) {
   // a legal disposition, bounded by the flap window — so sunk + dropped
   // accounts for every accepted packet.
   EXPECT_TRUE(wait_for([&] {
-    return traffic.sunk_packets() + router.stats().dropped() == accepted.load();
+    return traffic.sunk_packets() + router.total_stats().dropped() == accepted.load();
   }));
   router.stop();
 
-  const auto stats = router.stats();
+  const auto stats = router.total_stats();
   EXPECT_EQ(stats.drops(iengine::DropReason::kNoRoute), 0u);
   EXPECT_EQ(stats.packets_in, accepted.load());
   EXPECT_EQ(stats.packets_out + stats.dropped(), accepted.load());

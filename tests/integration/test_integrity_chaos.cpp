@@ -137,7 +137,7 @@ TEST(IntegrityChaos, EveryInjectedCorruptionLocalizedAtItsStage) {
   EXPECT_GT(checker.stamped_packets(), 0u);
 
   // --- conservation: quarantined packets are accounted drops, nothing else -
-  const auto stats = router.stats();
+  const auto stats = router.total_stats();
   EXPECT_EQ(stats.packets_in, accepted);
   EXPECT_EQ(stats.packets_out + stats.dropped() + stats.slow_path, stats.packets_in);
   EXPECT_EQ(stats.packets_out, traffic.sunk_packets());
@@ -219,7 +219,7 @@ TEST(IntegrityChaos, ShadowSamplingEscalatesAndTripsSickDevice) {
   EXPECT_GT(health.cpu_fallback_chunks, 0u);
   EXPECT_TRUE(health.healthy);
 
-  const auto stats = router.stats();
+  const auto stats = router.total_stats();
   EXPECT_EQ(stats.packets_in, accepted);
   EXPECT_EQ(stats.packets_out + stats.dropped() + stats.slow_path, stats.packets_in);
   EXPECT_EQ(stats.dropped(), 0u);  // repairs and misdeliveries, never drops
@@ -320,7 +320,7 @@ TEST(IntegrityChaos, CorruptionUnderFibChurnStaysExact) {
   EXPECT_EQ(checker.quarantined_packets(), 30u);
   EXPECT_EQ(checker.devices_tripped(), 0u);
 
-  const auto stats = router.stats();
+  const auto stats = router.total_stats();
   EXPECT_EQ(stats.packets_in, accepted);
   EXPECT_EQ(stats.packets_out + stats.dropped() + stats.slow_path, stats.packets_in);
   EXPECT_EQ(stats.packets_out, traffic.sunk_packets());
@@ -410,7 +410,7 @@ TEST(IntegrityChaos, InPlaceScatterCorruptionLocalizedAtItsStage) {
   EXPECT_EQ(checker.quarantined_packets(), 20u);
   EXPECT_EQ(checker.devices_tripped(), 0u);
 
-  const auto stats = router.stats();
+  const auto stats = router.total_stats();
   EXPECT_EQ(stats.packets_in, accepted);
   EXPECT_EQ(stats.packets_out + stats.dropped() + stats.slow_path, stats.packets_in);
   EXPECT_EQ(stats.packets_out, traffic.sunk_packets());
@@ -488,7 +488,7 @@ TEST(IntegrityChaos, ConservationExactUnderWorkerQuarantineMidBatch) {
   EXPECT_GT(checker.shadow_batches(), 0u);
   EXPECT_GT(checker.verified_packets(), 0u);
 
-  const auto stats = router.stats();
+  const auto stats = router.total_stats();
   EXPECT_EQ(stats.packets_in, accepted);
   EXPECT_EQ(stats.packets_out + stats.dropped() + stats.slow_path, stats.packets_in);
   EXPECT_EQ(stats.packets_out, traffic.sunk_packets());

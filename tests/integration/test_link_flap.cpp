@@ -84,7 +84,7 @@ TEST(LinkFlap, CarrierLossDropsAtTheWireAndRecoversCleanly) {
   EXPECT_TRUE(wait_for([&] { return traffic.sunk_packets() == accepted + more; }));
   router.stop();
 
-  const auto stats = router.stats();
+  const auto stats = router.total_stats();
   u64 hw_rx_drops = 0;
   for (auto* port : testbed.ports()) hw_rx_drops += port->rx_totals().drops;
   EXPECT_EQ(hw_rx_drops, 400u);

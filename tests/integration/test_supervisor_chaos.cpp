@@ -99,7 +99,7 @@ TEST(SupervisorChaos, WorkerHangIsDetectedQuarantinedAndRecovered) {
   EXPECT_TRUE(wait_for([&] { return traffic.sunk_packets() == accepted; }));
   router.stop();
 
-  const auto stats = router.stats();
+  const auto stats = router.total_stats();
   EXPECT_EQ(stats.packets_in, accepted);
   EXPECT_EQ(stats.packets_out + stats.dropped() + stats.slow_path, stats.packets_in);
   const auto audit = router.audit();
@@ -162,7 +162,7 @@ TEST(SupervisorChaos, MasterHangIsDetectedWorkersAbsorbAndMasterResumes) {
   EXPECT_TRUE(wait_for([&] { return traffic.sunk_packets() == accepted; }));
   router.stop();
 
-  const auto stats = router.stats();
+  const auto stats = router.total_stats();
   EXPECT_EQ(stats.packets_in, accepted);
   EXPECT_EQ(stats.packets_out, traffic.sunk_packets());
   EXPECT_EQ(stats.packets_out + stats.dropped() + stats.slow_path, stats.packets_in);

@@ -1,5 +1,6 @@
 // IPv6 binary search on prefix lengths: correctness of the scalar and
-// batched lookups against the trie reference, and probe bounds (<= 7).
+// batched lookups against the trie reference, and probe bounds (<= 7 for
+// /16../64 RIBs, exactly 8 to reach a /128).
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -56,6 +57,54 @@ TEST(Ipv6Table, AtMostSevenProbes) {
     EXPECT_LE(probes, 7);
     EXPECT_GE(probes, 1);
   }
+}
+
+TEST(Ipv6Table, HostRouteTakesEightProbes) {
+  // Lengths 1..128 make the search tree 8 deep: a /128 is reached through
+  // markers at 64, 96, 112, 120, 124, 126 and 127, then the prefix itself.
+  const auto host = net::Ipv6Addr::from_words(0x2001'0db8'0000'0000ULL, 1);
+  const Ipv6Prefix prefixes[] = {{host, 128, 5}};
+  Ipv6Table table;
+  table.build(prefixes);
+
+  int probes = 0;
+  EXPECT_EQ(table.lookup(host, &probes), 5);
+  EXPECT_EQ(probes, 8);
+
+  const u64 keys[] = {host.hi64(), host.lo64()};
+  NextHop nh = kNoRoute;
+  u64 total_probes = 0;
+  table.lookup_batch(keys, &nh, 1, &total_probes);
+  EXPECT_EQ(nh, 5);
+  EXPECT_EQ(total_probes, 8u);
+}
+
+TEST(Ipv6Table, LastDuplicatePrefixWins) {
+  // 2001:db8::/32 is given twice, next hop 2 last. The /80's search drops
+  // a marker at /64 whose best-matching prefix is that /32, so the
+  // duplicate must resolve the same way in markers as in prefix slots.
+  const Ipv6Prefix prefixes[] = {
+      p6(0x2001'0db8'0000'0000ULL, 32, 1),  // 2001:db8::/32
+      p6(0x2001'0db8'0001'0000ULL, 48, 3),  // 2001:db8:1::/48
+      {net::Ipv6Addr::from_words(0x2001'0db8'0005'0006ULL, 0x0007'0000'0000'0000ULL), 80,
+       4},                                  // 2001:db8:5:6:7::/80
+      p6(0x2001'0db8'0000'0000ULL, 32, 2),  // 2001:db8::/32 again
+  };
+  Ipv6Table table;
+  table.build(prefixes);
+
+  // 2001:db8:2::1
+  EXPECT_EQ(table.lookup(net::Ipv6Addr::from_words(0x2001'0db8'0002'0000ULL, 1)), 2);
+  // 2001:db8:1::1
+  EXPECT_EQ(table.lookup(net::Ipv6Addr::from_words(0x2001'0db8'0001'0000ULL, 1)), 3);
+  // 2001:db8:5:6:7::1
+  EXPECT_EQ(table.lookup(net::Ipv6Addr::from_words(0x2001'0db8'0005'0006ULL,
+                                                   0x0007'0000'0000'0001ULL)),
+            4);
+  // 2001:db8:5:6:8::1: answered by the level-64 marker's best-matching prefix.
+  EXPECT_EQ(table.lookup(net::Ipv6Addr::from_words(0x2001'0db8'0005'0006ULL,
+                                                   0x0008'0000'0000'0001ULL)),
+            2);
 }
 
 TEST(Ipv6Table, DefaultRoute) {

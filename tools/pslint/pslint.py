@@ -129,8 +129,8 @@ SINGLE_WRITER = [
     (r"(stats|rx_stats_|tx_stats_)\s*\.\s*(packets|bytes|drops)",
      {"nic/nic.cpp"}),
     (r"(link_up_|link_flaps_|carrier_lost_frames_)", {"nic/nic.cpp"}),
-    # Heartbeats: beat()/advance() on the owning thread.
-    (r"(beats|progress)", {"common/heartbeat.hpp"}),
+    # Heartbeats: beat() on the owning thread.
+    (r"beats", {"common/heartbeat.hpp"}),
     # Tracer slot/ring internals: producer side of the seqlock.
     (r"(spans_started_|spans_dropped_|next_slot_)", {"telemetry/tracer.cpp"}),
 ]
