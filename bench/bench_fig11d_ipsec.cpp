@@ -3,7 +3,13 @@
 // CPU+GPU 10.2 Gbps @64 B rising to 20.0 Gbps @1514 B; ~3.5x over
 // CPU-only; RouteBricks does 1.9 Gbps @64 B (5x gap); two GPUs without
 // packet I/O scale to 33 Gbps.
+//
+//   bench_fig11d_ipsec [--smoke]
+//
+// --smoke runs the 64 B and 1514 B rows only, at the full packet count,
+// so its BENCH line carries the same model numbers as a full run.
 #include <cstdio>
+#include <cstring>
 
 #include "apps/ipsec_gateway.hpp"
 #include "bench/bench_util.hpp"
@@ -53,7 +59,11 @@ double gpu_only_crypto_gbps() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  }
   bench::print_header("Figure 11(d)", "IPsec gateway input throughput vs packet size (Gbps)");
   bench::print_note("ESP tunnel mode, AES-128-CTR + HMAC-SHA1-96, one SA");
 
@@ -61,8 +71,10 @@ int main() {
       0x1111, net::Ipv4Addr(172, 16, 0, 1), net::Ipv4Addr(172, 16, 0, 2));
 
   std::printf("%8s %12s %12s %9s\n", "size", "CPU-only", "CPU+GPU", "speedup");
-  double cpu64 = 0, gpu64 = 0, gpu1514 = 0;
-  for (const u32 size : {64u, 128u, 256u, 512u, 1024u, 1514u}) {
+  const std::vector<u32> sizes = smoke ? std::vector<u32>{64, 1514}
+                                       : std::vector<u32>{64, 128, 256, 512, 1024, 1514};
+  double cpu64 = 0, gpu64 = 0, cpu1514 = 0, gpu1514 = 0;
+  for (const u32 size : sizes) {
     const double cpu = run_ipsec(sa, size, false);
     const double gpu = run_ipsec(sa, size, true);
     std::printf("%8u %12.2f %12.2f %8.2fx\n", size, cpu, gpu, gpu / cpu);
@@ -70,8 +82,18 @@ int main() {
       cpu64 = cpu;
       gpu64 = gpu;
     }
-    if (size == 1514) gpu1514 = gpu;
+    if (size == 1514) {
+      cpu1514 = cpu;
+      gpu1514 = gpu;
+    }
   }
+
+  telemetry::BenchLine line("fig11d_ipsec");
+  line.fixed("cpu64_gbps", cpu64, 2);
+  line.fixed("gpu64_gbps", gpu64, 2);
+  line.fixed("cpu1514_gbps", cpu1514, 2);
+  line.fixed("gpu1514_gbps", gpu1514, 2);
+  bench::emit_bench(line);
 
   const double gpu_only = gpu_only_crypto_gbps();
   std::printf("\ntwo GPUs, crypto only (no packet I/O): %.1f Gbps\n", gpu_only);
