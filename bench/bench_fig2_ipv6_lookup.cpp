@@ -65,7 +65,6 @@ int main() {
     const route::NextHop default_nh = table.default_route();
 
     gpu::KernelLaunch kernel{
-        .name = "ipv6_lookup",
         .threads = batch,
         .body =
             [=](gpu::ThreadCtx& ctx) {

@@ -18,8 +18,7 @@ int main() {
   for (const u32 threads : {1u, 32u, 256u, 1024u, 4096u, 16384u, 65536u}) {
     device.reset_timeline();
     // An empty kernel isolates launch cost (no compute / memory terms).
-    gpu::KernelLaunch kernel{.name = "noop", .threads = threads, .body = [](gpu::ThreadCtx&) {},
-                             .cost = {}};
+    gpu::KernelLaunch kernel{.threads = threads, .body = [](gpu::ThreadCtx&) {}, .cost = {}};
     const auto timing = device.launch(kernel);
     const double us = to_micros(timing.duration());
     std::printf("%10u %14.2f %20.3f\n", threads, us, us * 1000.0 / threads);

@@ -94,18 +94,15 @@ core::ShadeOutcome DynamicIpv4ForwardApp::shade(core::GpuContext& gpu,
                                                 Picos submit_time) {
   auto& st = *gpu_state_.at(gpu.device->gpu_id());
   const int slot = st.active.load(std::memory_order_acquire);
-  const u16* tbl24 = st.tbl24[slot].as<const u16>();
-  const u16* tbl_long = st.tbl_long[slot].as<const u16>();
-  const auto make_kernel = [&](u32 offset, u32 items) {
-    const u32* in = st.input.as<const u32>() + offset;
-    u16* out = st.output.as<u16>() + offset;
+  const auto make_kernel = [st = &st, slot](u32 offset, u32 items) {
     return gpu::KernelLaunch{
-        .name = "ipv4_lookup",
         .threads = items,
         .body =
-            [=](gpu::ThreadCtx& ctx) {
-              const u32 tid = ctx.thread_id();
-              out[tid] = route::Ipv4Table::lookup_in_arrays(tbl24, tbl_long, in[tid]);
+            [st, slot, offset](gpu::ThreadCtx& ctx) {
+              const u32 item = offset + ctx.thread_id();
+              st->output.as<u16>()[item] = route::Ipv4Table::lookup_in_arrays(
+                  st->tbl24[slot].as<const u16>(), st->tbl_long[slot].as<const u16>(),
+                  st->input.as<const u32>()[item]);
             },
         // One table probe for ~97% of packets, two for prefixes >/24.
         .cost = {.instructions = perf::kGpuIpv4LookupInstr, .mem_accesses = 1.05},

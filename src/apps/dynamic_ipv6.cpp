@@ -101,22 +101,18 @@ core::ShadeOutcome DynamicIpv6ForwardApp::shade(core::GpuContext& gpu,
                                                 std::span<core::ShaderJob* const> jobs,
                                                 Picos submit_time) {
   auto& st = *gpu_state_.at(gpu.device->gpu_id());
-  const auto& copy = st.copies[st.active.load(std::memory_order_acquire)];
-  const auto* slots = copy.slots.as<const route::Ipv6Table::Slot>();
-  const auto* offsets = copy.offsets.as<const u32>();
-  const auto* masks = copy.masks.as<const u32>();
-  const route::NextHop default_nh = copy.default_nh;
-  const auto make_kernel = [&](u32 offset, u32 items) {
-    const u64* in = st.input.as<const u64>() + std::size_t{offset} * 2;
-    u16* out = st.output.as<u16>() + offset;
+  const int slot = st.active.load(std::memory_order_acquire);
+  const auto make_kernel = [st = &st, slot](u32 offset, u32 items) {
     return gpu::KernelLaunch{
-        .name = "ipv6_lookup",
         .threads = items,
         .body =
-            [=](gpu::ThreadCtx& ctx) {
-              const u32 tid = ctx.thread_id();
-              out[tid] = route::Ipv6Table::lookup_in_arrays(
-                  slots, offsets, masks, in[tid * 2], in[tid * 2 + 1], default_nh);
+            [st, slot, offset](gpu::ThreadCtx& ctx) {
+              const u32 item = offset + ctx.thread_id();
+              const TableCopy& copy = st->copies[slot];
+              const u64* key = st->input.as<const u64>() + std::size_t{item} * 2;
+              st->output.as<u16>()[item] = route::Ipv6Table::lookup_in_arrays(
+                  copy.slots.as<const route::Ipv6Table::Slot>(), copy.offsets.as<const u32>(),
+                  copy.masks.as<const u32>(), key[0], key[1], copy.default_nh);
             },
         // Seven dependent hash probes per lookup, each a random device-
         // memory access (section 6.2.2); a probe touches a 24 B slot that

@@ -39,18 +39,6 @@ class IpsecGatewayApp final : public core::Shader {
   static constexpr u32 kMaxBatchPackets = 16384;
 
  private:
-  /// Per-packet record the pre-shader emits (also consumed host-side by
-  /// the post-shader).
-  struct PacketDesc {
-    u32 blob_off = 0;     // into the blob region: [esp hdr | iv | plaintext]
-    u32 cipher_len = 0;   // bytes under AES (blob bytes after the 16 B auth prefix)
-    u32 first_block = 0;  // index of this packet's first AES block
-  };
-  struct BlockRef {
-    u32 desc = 0;   // PacketDesc index
-    u32 block = 0;  // AES block index within the packet
-  };
-
   struct GpuState {
     gpu::DeviceBuffer descs;
     gpu::DeviceBuffer blocks;
@@ -64,6 +52,10 @@ class IpsecGatewayApp final : public core::Shader {
     std::vector<gpu::ScatterSeg> icv_segs;
   };
 
+  /// The framing half of both paths, in place: classify each packet, grow
+  /// the chunk once, and build each tunnel frame in its own span with the
+  /// payload in plaintext and the ICV zeroed.
+  void encapsulate(iengine::PacketChunk& chunk);
   gpu::GpuStatus shade_one_job(core::GpuContext& gpu, core::ShaderJob& job,
                                gpu::StreamId stream, Picos submit_time, Picos& done);
 

@@ -99,53 +99,47 @@ core::ShadeOutcome OpenFlowApp::shade(core::GpuContext& gpu,
                                       std::span<core::ShaderJob* const> jobs,
                                       Picos submit_time) {
   auto& st = gpu_state_.at(gpu.device->gpu_id());
-  const auto* exact = st.exact.as<const GpuExactSlot>();
-  const auto* wild = st.wildcard.as<const GpuWildcardEntry>();
-  const u32 exact_mask = st.exact_mask;
-  const u32 wildcard_count = st.wildcard_count;
 
   // The wildcard scan diverges only when packets match different entries;
   // with priority-ordered early exit most warps run the full loop in
   // lockstep, so the static cost model applies.
-  auto make_body = [=](const openflow::FlowKey* in, u32* out) {
-    return [=](gpu::ThreadCtx& ctx) {
-      const u32 tid = ctx.thread_id();
-      const openflow::FlowKey& key = in[tid];
-
-      // Exact match first (hash offloaded here, as in the paper).
-      u32 index = openflow::flow_key_hash(key) & exact_mask;
-      while (exact[index].occupied != 0) {
-        if (exact[index].key == key) break;
-        index = (index + 1) & exact_mask;
-      }
-      if (exact[index].occupied != 0) {
-        out[tid] = encode_result(MatchSource::kExact, index);
-        ctx.record_path(0);
-        return;
-      }
-
-      // Wildcard linear search, priority order.
-      for (u32 w = 0; w < wildcard_count; ++w) {
-        const openflow::WildcardMatch match{wild[w].key, wild[w].wildcards,
-                                            wild[w].nw_src_bits, wild[w].nw_dst_bits,
-                                            wild[w].priority};
-        if (match.matches(key)) {
-          out[tid] = encode_result(MatchSource::kWildcard, w);
-          ctx.record_path(1);
-          return;
-        }
-      }
-      out[tid] = encode_result(MatchSource::kMiss, 0);
-      ctx.record_path(2);
-    };
-  };
-
   const auto make_kernel = [&](u32 offset, u32 items) {
     return gpu::KernelLaunch{
-        .name = "openflow_classify",
         .threads = items,
-        .body = make_body(st.input.as<const openflow::FlowKey>() + offset,
-                          st.output.as<u32>() + offset),
+        .body =
+            [st = &st, offset](gpu::ThreadCtx& ctx) {
+              const u32 item = offset + ctx.thread_id();
+              const openflow::FlowKey& key = st->input.as<const openflow::FlowKey>()[item];
+              const auto* exact = st->exact.as<const GpuExactSlot>();
+              u32* out = st->output.as<u32>() + item;
+
+              // Exact match first (hash offloaded here, as in the paper).
+              u32 index = openflow::flow_key_hash(key) & st->exact_mask;
+              while (exact[index].occupied != 0) {
+                if (exact[index].key == key) break;
+                index = (index + 1) & st->exact_mask;
+              }
+              if (exact[index].occupied != 0) {
+                *out = encode_result(MatchSource::kExact, index);
+                ctx.record_path(0);
+                return;
+              }
+
+              // Wildcard linear search, priority order.
+              const auto* wild = st->wildcard.as<const GpuWildcardEntry>();
+              for (u32 w = 0; w < st->wildcard_count; ++w) {
+                const openflow::WildcardMatch match{wild[w].key, wild[w].wildcards,
+                                                    wild[w].nw_src_bits, wild[w].nw_dst_bits,
+                                                    wild[w].priority};
+                if (match.matches(key)) {
+                  *out = encode_result(MatchSource::kWildcard, w);
+                  ctx.record_path(1);
+                  return;
+                }
+              }
+              *out = encode_result(MatchSource::kMiss, 0);
+              ctx.record_path(2);
+            },
         .cost = kernel_cost(),
     };
   };

@@ -25,8 +25,8 @@ void Pipeline::admit(iengine::PacketChunk& chunk) {
 }
 
 void Pipeline::run_cpu(iengine::PacketChunk& chunk) {
-  chunk.set_stamped(false);
   shader_->process_cpu(chunk);
+  chunk.set_stamped(false);
 }
 
 void Pipeline::pre(ShaderJob& job) {

@@ -41,7 +41,9 @@ class Pipeline {
   void admit(iengine::PacketChunk& chunk);
   /// Inline CPU path: integrity coverage ends at admission (the chunk
   /// crosses no further hand-off and process_cpu rewrites headers), so
-  /// the stamp is cleared rather than re-taken.
+  /// the stamp is cleared rather than re-taken. It is cleared after
+  /// process_cpu: an app that rebuilds its chunk with append() hands back
+  /// a chunk stamped with zero CRCs.
   void run_cpu(iengine::PacketChunk& chunk);
   /// Worker pre-shading; pre_shade is a sanctioned mutation point, so the
   /// stamp is re-taken to certify the bytes handed to the master.

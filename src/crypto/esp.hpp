@@ -67,12 +67,25 @@ struct EspLayout {
   u32 icv_offset = 0;      // 12 B ICV position
 };
 
-/// Build the tunnel frame with the payload still in plaintext and the ICV
-/// zeroed — the pre-shading half of the GPU path (crypto happens on the
-/// device). `seq` is the explicit ESP sequence number. Returns empty on
-/// malformed input.
-std::vector<u8> esp_build_unencrypted(const SecurityAssociation& sa, std::span<const u8> frame,
-                                      u32 seq, EspLayout* layout = nullptr);
+/// Layout of a tunnel frame of `tunnel_len` bytes.
+EspLayout esp_layout(u32 tunnel_len);
+
+/// Tunnel frame size for an input Ethernet frame, or 0 when the frame is
+/// not a well-formed IPv4 packet (only IPv4 is tunneled).
+u32 esp_tunnel_size(std::span<const u8> frame);
+
+/// Build the tunnel frame into `out` with the payload still in plaintext
+/// and the ICV zeroed — the pre-shading half of the GPU path (crypto
+/// happens on the device). `out` holds esp_tunnel_size(frame) bytes, which
+/// must not be 0. It may start at frame.data(), which encapsulates in
+/// place; otherwise it must not overlap `frame`. `seq` is the explicit ESP
+/// sequence number.
+void esp_build_unencrypted(const SecurityAssociation& sa, std::span<const u8> frame, u32 seq,
+                           std::span<u8> out);
+
+/// Encrypt the payload of a frame esp_build_unencrypted built and write
+/// its ICV, in place — the crypto half.
+void esp_seal(const SecurityAssociation& sa, std::span<u8> tunnel);
 
 /// Full CPU encapsulation with explicit sequence number (const SA; safe
 /// from concurrent workers that allocate their own sequence numbers).

@@ -12,7 +12,7 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
@@ -106,8 +106,9 @@ struct ScatterSeg {
   std::size_t src_offset = 0;
 };
 
+/// `body` stores a trivially copyable closure of at most 16 bytes inline,
+/// so building a launch allocates nothing (DESIGN.md §13).
 struct KernelLaunch {
-  std::string name;
   u32 threads = 0;
   KernelBody body;
   perf::KernelCost cost;

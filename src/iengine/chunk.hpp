@@ -7,6 +7,7 @@
 // unit of GPU parallelism.
 #pragma once
 
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -60,6 +61,39 @@ class PacketChunk {
   /// buffer bytes). `wire_crc` is the NIC's descriptor-side CRC32C over the
   /// received bytes (the RX-admission integrity stamp).
   bool append(std::span<const u8> frame, u32 rss_hash = 0, u32 wire_crc = 0);
+
+  /// Grow packets in place, keeping them packed back to back: packet i
+  /// becomes `new_length(i)` bytes, no shorter than now and at most
+  /// kDataCellSize. Its bytes stay at the start of the grown span; the
+  /// rest is unspecified until `fill(i, old_length)` writes it. Packets
+  /// move back to front, each at most once, and `fill` runs on each right
+  /// after its move. `new_length(i)` runs twice per packet, both times
+  /// before that packet moves. Returns false, changing nothing, when a
+  /// length is out of range.
+  template <typename NewLength, typename Fill>
+  bool grow(const NewLength& new_length, const Fill& fill) {
+    u32 total = 0;
+    for (u32 i = 0; i < count_; ++i) {
+      const u32 length = new_length(i);
+      if (length < lengths_[i] || length > mem::kDataCellSize) return false;
+      total += length;
+    }
+    // The buffer holds max_packets cells, so `total` fits. Packet i's new
+    // span ends where packet i + 1's begins and starts no earlier than its
+    // old one, so it covers no bytes still to move.
+    u32 end = total;
+    for (u32 i = count_; i-- > 0;) {
+      const u32 offset = end - new_length(i);
+      const u16 old_length = lengths_[i];
+      std::memmove(buffer_.data() + offset, buffer_.data() + offsets_[i], old_length);
+      lengths_[i] = static_cast<u16>(end - offset);
+      offsets_[i] = offset;
+      fill(i, old_length);
+      end = offset;
+    }
+    used_bytes_ = total;
+    return true;
+  }
 
   std::span<u8> packet(u32 i) {
     return {buffer_.data() + offsets_[i], lengths_[i]};

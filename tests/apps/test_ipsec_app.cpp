@@ -2,6 +2,7 @@
 // bit-identical to the CPU path and decryptable by a standard receiver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "apps/ipsec_gateway.hpp"
@@ -136,6 +137,54 @@ TEST(IpsecGatewayApp, NonIpv4GoesToSlowPathUntouched) {
   app.process_cpu(job.chunk);
   EXPECT_EQ(job.chunk.verdict(0), iengine::PacketVerdict::kSlowPath);
   EXPECT_EQ(job.chunk.packet(0).size(), v6.size());
+}
+
+TEST(IpsecGatewayApp, FrameTooLargeToTunnelGoesToSlowPathUntouched) {
+  // The NIC takes frames up to one 2 KiB cell, but the tunnel frame of a
+  // 2000 B frame is 2050 B: it must leave for the slow path as it came,
+  // on both paths, while its neighbours are tunneled.
+  ASSERT_GT(crypto::esp_output_frame_size(2000), mem::kDataCellSize);
+  const auto sa = gateway_sa();
+  std::vector<net::FrameBuffer> frames;
+  for (const u32 size : {64u, 2000u, 64u}) {
+    net::FrameSpec spec;
+    spec.frame_size = size;
+    frames.push_back(
+        net::build_udp_ipv4(spec, net::Ipv4Addr(10, 0, 0, 1), net::Ipv4Addr(10, 0, 0, 2)));
+  }
+  const auto check = [&](const iengine::PacketChunk& chunk) {
+    ASSERT_EQ(chunk.count(), 3u);
+    EXPECT_EQ(chunk.verdict(1), iengine::PacketVerdict::kSlowPath);
+    EXPECT_TRUE(std::ranges::equal(chunk.packet(1), frames[1]));
+    auto rx_sa = gateway_sa();
+    for (const u32 i : {0u, 2u}) {
+      EXPECT_EQ(chunk.verdict(i), iengine::PacketVerdict::kForward) << i;
+      std::vector<u8> inner;
+      ASSERT_EQ(crypto::esp_decapsulate(rx_sa, chunk.packet(i), inner), crypto::EspError::kOk)
+          << i;
+      EXPECT_TRUE(std::equal(inner.begin() + 14, inner.end(), frames[i].begin() + 14)) << i;
+    }
+  };
+
+  IpsecGatewayApp gpu_app(sa);
+  GpuHarness gpu;
+  gpu_app.bind_gpu(gpu.device);
+  core::ShaderJob job(4);
+  for (const auto& f : frames) job.chunk.append(f);
+  job.chunk.in_port = 0;
+  gpu_app.pre_shade(job);
+  EXPECT_EQ(job.gpu_index, (std::vector<u32>{0, 2}));
+  core::ShaderJob* jobs[] = {&job};
+  ASSERT_TRUE(gpu_app.shade(gpu.ctx, {jobs, 1}).ok());
+  gpu_app.post_shade(job);
+  check(job.chunk);
+
+  IpsecGatewayApp cpu_app(sa);
+  iengine::PacketChunk chunk(4);
+  for (const auto& f : frames) chunk.append(f);
+  chunk.in_port = 0;
+  cpu_app.process_cpu(chunk);
+  check(chunk);
 }
 
 TEST(IpsecGatewayApp, MultiJobShadeKeepsJobsSeparate) {

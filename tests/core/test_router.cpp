@@ -8,10 +8,13 @@
 #include <thread>
 
 #include "apps/dynamic_ipv4.hpp"
+#include "apps/ipsec_gateway.hpp"
+#include "apps/multi_app.hpp"
 #include "core/model_driver.hpp"
 #include "core/router.hpp"
 #include "core/testbed.hpp"
 #include "gen/traffic.hpp"
+#include "integrity/integrity.hpp"
 #include "route/rib_gen.hpp"
 
 namespace ps::core {
@@ -162,6 +165,92 @@ TEST(Router, OpportunisticOffloadTakesCpuPathUnderLightLoad) {
   const auto stats = router.total_stats();
   EXPECT_EQ(stats.cpu_processed, offered);
   EXPECT_EQ(stats.gpu_processed, 0u);
+}
+
+crypto::SecurityAssociation gateway_sa() {
+  return crypto::SecurityAssociation::make_test_sa(0x6161, net::Ipv4Addr(172, 16, 0, 1),
+                                                   net::Ipv4Addr(172, 16, 0, 2));
+}
+
+TEST(Router, IpsecFrameTooLargeToTunnelTakesTheSlowPath) {
+  // A 2000 B frame's tunnel frame would not fit its 2 KiB cell: the app
+  // sends it to the slow path, and the audit balances on both paths.
+  const auto sa = gateway_sa();
+  apps::IpsecGatewayApp app(sa);
+  for (const bool use_gpu : {false, true}) {
+    SCOPED_TRACE(use_gpu ? "cpu+gpu" : "cpu-only");
+    Testbed testbed(TestbedConfig{.topo = pcie::Topology::paper_server(),
+                                  .use_gpu = use_gpu,
+                                  .ring_size = 4096,
+                                  .gpu_pool_workers = 2},
+                    RouterConfig{.use_gpu = use_gpu});
+    gen::TrafficGen sink({.seed = 12});
+    testbed.connect_sink(&sink);
+    Router router(testbed.engine(), testbed.gpus(), app, RouterConfig{.use_gpu = use_gpu});
+    router.start();
+    for (const u32 size : {64u, 2000u, 64u}) {
+      net::FrameSpec spec;
+      spec.frame_size = size;
+      ASSERT_TRUE(testbed.port(0).receive_frame(
+          net::build_udp_ipv4(spec, net::Ipv4Addr(10, 0, 0, 9), net::Ipv4Addr(20, 0, 0, 1))));
+    }
+    EXPECT_TRUE(wait_for(
+        [&] { return sink.sunk_packets() >= 2 && router.total_stats().slow_path >= 1; }));
+    router.stop();
+
+    const auto audit = router.audit();
+    EXPECT_EQ(audit.rx, 3u);
+    EXPECT_EQ(audit.tx, 2u);
+    EXPECT_EQ(audit.dropped, 0u);
+    EXPECT_EQ(audit.slow_path, 1u);
+    EXPECT_TRUE(audit.balanced());
+    EXPECT_EQ(sink.sunk_on_port(1), 2u);
+  }
+}
+
+TEST(Router, IntegrityCheckerKeepsCpuPathChunksAppsRebuild) {
+  // The inline CPU path ends integrity coverage at admission. An app whose
+  // process_cpu rebuilds its chunk with append() (MultiProtocolApp) hands
+  // back a chunk stamped with zero CRCs, which the pre-TX check must not
+  // read as corruption. IPsec runs both through the CPU-only router and
+  // down the opportunistic CPU path of a CPU+GPU one.
+  const auto sa = gateway_sa();
+  apps::IpsecGatewayApp ipsec(sa);
+  const auto fib = default_route_fib(1);
+  apps::DynamicIpv4ForwardApp ipv4(*fib);
+  apps::MultiProtocolApp multi;
+  multi.add_protocol(net::EtherType::kIpv4, &ipv4);
+
+  struct Case {
+    const char* name;
+    Shader* app;
+    bool use_gpu;
+  };
+  for (const Case& c : {Case{"ipsec cpu-only", &ipsec, false},
+                        Case{"ipsec cpu+gpu, opportunistic", &ipsec, true},
+                        Case{"multi-protocol cpu-only", &multi, false}}) {
+    SCOPED_TRACE(c.name);
+    const RouterConfig config{.use_gpu = c.use_gpu, .opportunistic_threshold = 1000};
+    Testbed testbed(TestbedConfig{.topo = pcie::Topology::paper_server(),
+                                  .use_gpu = c.use_gpu,
+                                  .ring_size = 4096,
+                                  .gpu_pool_workers = 2},
+                    config);
+    gen::TrafficGen traffic({.frame_size = 200, .seed = 13});
+    testbed.connect_sink(&traffic);
+    integrity::IntegrityChecker checker;
+    Router router(testbed.engine(), testbed.gpus(), *c.app, config);
+    router.set_integrity(&checker);
+    router.start();
+
+    const u64 offered = traffic.offer(testbed.ports(), 2000);
+    EXPECT_TRUE(wait_for([&] { return traffic.sunk_packets() >= offered; }));
+    router.stop();
+
+    EXPECT_EQ(router.audit().tx, offered);
+    EXPECT_EQ(router.total_stats().drops(iengine::DropReason::kIntegrityFail), 0u);
+    EXPECT_EQ(checker.corrupt_at(integrity::Stage::kTx), 0u);
+  }
 }
 
 TEST(Router, PerFlowOrderIsPreserved) {

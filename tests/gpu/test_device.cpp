@@ -66,7 +66,6 @@ TEST(GpuDevice, KernelLaunchExecutesFunctionally) {
   const u32* in_p = in.as<const u32>();
   u32* out_p = out.as<u32>();
   KernelLaunch kernel{
-      .name = "square",
       .threads = 1024,
       .body = [=](ThreadCtx& ctx) { out_p[ctx.thread_id()] = in_p[ctx.thread_id()] * 2; },
       .cost = {.instructions = 10},
@@ -85,7 +84,7 @@ TEST(GpuDevice, SingleStreamSerializes) {
   const std::vector<u8> data(4096, 1);
 
   const auto c1 = dev.memcpy_h2d(buf, 0, data);
-  KernelLaunch kernel{.name = "noop", .threads = 512, .body = [](ThreadCtx&) {}, .cost = {}};
+  KernelLaunch kernel{.threads = 512, .body = [](ThreadCtx&) {}, .cost = {}};
   const auto k = dev.launch(kernel);
   std::vector<u8> out(4096);
   const auto c2 = dev.memcpy_d2h(out, buf, 0);
@@ -106,8 +105,7 @@ TEST(GpuDevice, ConcurrentCopyAndExecutionOverlaps) {
   const std::vector<u8> data(1 << 20, 7);
 
   dev.memcpy_h2d(buf_a, 0, data, kDefaultStream);
-  KernelLaunch heavy{.name = "heavy",
-                     .threads = 50'000,
+  KernelLaunch heavy{.threads = 50'000,
                      .body = [](ThreadCtx&) {},
                      .cost = {.instructions = 10'000, .mem_accesses = 10}};
   const auto k = dev.launch(heavy, kDefaultStream);
@@ -149,15 +147,14 @@ TEST(GpuDevice, ChargesLedgerOnItsIoh) {
   EXPECT_EQ(ledger.busy({perf::ResourceKind::kIohH2d, 0}), 0);
   EXPECT_GT(ledger.busy({perf::ResourceKind::kGpuCopy, 1}), 0);
 
-  KernelLaunch kernel{.name = "k", .threads = 64, .body = [](ThreadCtx&) {}, .cost = {.instructions = 100}};
+  KernelLaunch kernel{.threads = 64, .body = [](ThreadCtx&) {}, .cost = {.instructions = 100}};
   dev1.launch(kernel);
   EXPECT_GT(ledger.busy({perf::ResourceKind::kGpuExec, 1}), 0);
 }
 
 TEST(GpuDevice, MeasuredDivergenceSlowsKernel) {
   GpuDevice dev(0, topo(), std::make_shared<SimtExecutor>(0u));
-  KernelLaunch uniform{.name = "u",
-                       .threads = 4096,
+  KernelLaunch uniform{.threads = 4096,
                        .body = [](ThreadCtx& ctx) { ctx.record_path(0); },
                        .cost = {.instructions = 1000},
                        .track_divergence = true};

@@ -42,8 +42,7 @@ TEST(GpuDeviceMore, KernelsSerializeAcrossStreams) {
   // (the pre-Fermi constraint of section 7).
   GpuDevice dev(0, topo(), std::make_shared<SimtExecutor>(0u));
   const auto s1 = dev.create_stream();
-  KernelLaunch heavy{.name = "a",
-                     .threads = 10'000,
+  KernelLaunch heavy{.threads = 10'000,
                      .body = [](ThreadCtx&) {},
                      .cost = {.instructions = 50'000}};
   const auto first = dev.launch(heavy, kDefaultStream);
@@ -79,8 +78,7 @@ TEST(GpuDeviceMore, ConcurrentOpsFromTwoThreadsAreSafe) {
 
   const u8* in = io.as<const u8>();
   for (int round = 0; round < 200; ++round) {
-    KernelLaunch kernel{.name = "reader",
-                        .threads = 256,
+    KernelLaunch kernel{.threads = 256,
                         .body = [=](ThreadCtx& ctx) { (void)in[ctx.thread_id() % 4096]; },
                         .cost = {.instructions = 10}};
     dev.launch(kernel);
