@@ -21,6 +21,13 @@
 # traffic: a data race in MetricsRegistry::snapshot() fails that suite
 # under TSan.
 #
+# The FIB layer — the one-pass DIR-24-8 build's radix counts and stack
+# sweep, the flat RIB's wrap-around erase, the commit paths and the
+# updater — is collected under the "fib" shorthand. CI runs it under
+# ASan+UBSan and standalone UBSan before the full suites, so a mistake
+# there fails fast:
+#   scripts/run_sanitizers.sh "address undefined" fib
+#
 # The "lockfree" shorthand selects by ctest *label* instead of regex: it
 # runs the LockfreeSuite entry (SPSC ring, WakeSignal, SpscFanIn, epoch
 # — the protocols the ps::mc litmus suite model-checks, here exercised
@@ -31,12 +38,15 @@ set -e
 cd "$(dirname "$0")/.."
 
 telemetry_filter='TelemetryConservation|MetricsRegistry|PipelineTrace|BenchLine|Exporter|StageBreakdown|GpuCpuDifferential'
+fib_filter='Fib|Ipv4Apply|Ipv4Table|Ipv4Edge|Ipv6Table|Ipv6Edge'
 
 presets="${1:-address thread undefined}"
 filter="$2"
 label=""
 if [ "$filter" = "telemetry" ]; then
   filter="$telemetry_filter"
+elif [ "$filter" = "fib" ]; then
+  filter="$fib_filter"
 elif [ "$filter" = "lockfree" ]; then
   label="lockfree"
   filter=""

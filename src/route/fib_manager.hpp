@@ -3,33 +3,39 @@
 // tables without disturbing it.
 //
 // The paper names the two candidate mechanisms — incremental update or
-// double buffering — and this module now implements both, composed:
-// route changes accumulate as pre-resolved ops, commit applies them
-// *incrementally* to a standby buffer (touching only the TBL24/TBLlong
-// regions they cover) and publishes the buffer as an immutable FIB
+// double buffering — and this module implements both, composed: route
+// changes accumulate in a flat RIB (route/rib.hpp) and as pre-resolved
+// ops; commit writes a standby buffer and publishes it as an immutable FIB
 // *generation* through a single atomic pointer. The data path never takes
 // a lock: readers pin an epoch (ps::epoch), load the generation, and look
 // up; a retired generation is destroyed only after every pinned epoch has
 // advanced past its retirement, then its buffer is recycled for a future
 // commit.
 //
+// How a commit writes the buffer: onto a published table that holds no
+// routes (an initial load), it builds the table from the RIB in one pass
+// and journals nothing. Otherwise it first brings the buffer up to the
+// published generation, by replaying the op journal when the journal
+// reaches back to the buffer's generation and by copying the published
+// table when it does not, then applies the batch *incrementally*
+// (touching only the TBL24/TBLlong regions the ops cover). Tables with no
+// incremental apply (Ipv6Table) rebuild from the RIB on every commit.
+//
 // Commit is transactional. A batch either publishes completely or leaves
-// the published generation untouched: the standby buffer is brought up to
-// date by replaying the op journal, the batch is applied on top, and only
-// then does the atomic pointer move. A fault mid-batch (see the
-// control.fib_update.* points) poisons the standby buffer — it is
-// discarded, the batch is re-queued in order, and the next commit retries
-// against a fresh buffer. The RIB itself is never rolled back; it always
-// reflects what has been announced, and pending ops carry the deltas that
-// still separate it from the published table.
+// the published generation untouched: only a fully written buffer moves
+// the atomic pointer. A fault mid-batch (see the control.fib_update.*
+// points) poisons the standby buffer — it is discarded, the batch is
+// re-queued in order, and the next commit retries against a fresh buffer.
+// The RIB itself is never rolled back; it always reflects what has been
+// announced, and pending ops carry the deltas that still separate it from
+// the published table.
 #pragma once
 
 #include <chrono>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <span>
-#include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,6 +45,7 @@
 #include "fault/fault_injector.hpp"
 #include "route/ipv4_table.hpp"
 #include "route/ipv6_table.hpp"
+#include "route/rib.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace ps::route {
@@ -57,16 +64,15 @@ struct CommitResult {
   std::size_t slots_written = 0;  // table slots touched (incremental only)
 };
 
-/// Generation-published FIB. Table must provide build(span<const Prefix>);
-/// when it additionally provides apply_resolved(span<const ResolvedIpv4Op>)
-/// (Ipv4Table does), commits are incremental; otherwise each commit is a
-/// from-scratch rebuild, still epoch-published (Ipv6Table today).
-/// KeyFn maps a prefix to its exact (network, length) RIB key, hashed by
-/// std::hash.
+/// Generation-published FIB. Table must provide build(span<const Prefix>)
+/// and prefix_count(); when it additionally provides
+/// apply_resolved(span<const ResolvedIpv4Op>) (Ipv4Table does), a commit
+/// onto a table that holds routes is incremental and only a commit onto an
+/// empty one builds; otherwise each commit is a from-scratch build, still
+/// epoch-published (Ipv6Table today). KeyFn maps a prefix to its exact
+/// (network, length) RIB key, hashed by std::hash and mixed.
 template <typename Table, typename Prefix, typename KeyFn>
 class FibManager {
-  using RibKey = std::invoke_result_t<KeyFn, const Prefix&>;
-
  public:
   static constexpr bool kIncremental =
       requires(Table& t, std::span<const ResolvedIpv4Op> ops) { t.apply_resolved(ops); };
@@ -106,12 +112,10 @@ class FibManager {
   bool announce(const Prefix& prefix) {
     if (prefix.length > Prefix::kMaxLength || prefix.next_hop > kNoRoute) return false;
     MutexLock lock(mu_);
-    const RibKey key = KeyFn{}(prefix);
     PendingOp op;
     op.prefix = prefix;
     op.announce = true;
-    op.is_new = rib_.find(key) == rib_.end();
-    rib_[key] = prefix;
+    op.is_new = rib_.insert_or_assign(prefix);
     pending_.push_back(op);
     return true;
   }
@@ -122,21 +126,18 @@ class FibManager {
   bool withdraw(const Prefix& prefix) {
     if (prefix.length > Prefix::kMaxLength) return false;
     MutexLock lock(mu_);
-    const RibKey key = KeyFn{}(prefix);
-    auto it = rib_.find(key);
-    if (it == rib_.end()) return false;
+    const std::optional<Prefix> removed = rib_.erase(prefix);
+    if (!removed) return false;
     PendingOp op;
-    op.prefix = it->second;
+    op.prefix = *removed;
     op.announce = false;
-    rib_.erase(it);
     if constexpr (kIncremental) {
       for (int l = static_cast<int>(op.prefix.length) - 1; l >= 0; --l) {
         Prefix cover = op.prefix;
         cover.length = static_cast<u8>(l);
-        auto parent = rib_.find(KeyFn{}(cover));
-        if (parent != rib_.end()) {
-          op.parent_nh = parent->second.next_hop;
-          op.parent_depth = parent->second.length;
+        if (const Prefix* parent = rib_.find(cover)) {
+          op.parent_nh = parent->next_hop;
+          op.parent_depth = parent->length;
           break;
         }
       }
@@ -185,53 +186,62 @@ class FibManager {
     }
 
     const auto t0 = std::chrono::steady_clock::now();
-    std::unique_ptr<Generation> builder = acquire_buffer();
+    std::unique_ptr<Generation> builder = take_pooled();
 
     // Drain the batch and, in the same critical section, capture what the
-    // builder needs: either the journal suffix that brings it from its own
-    // generation to the published one, or (when the journal no longer
-    // reaches back far enough, or Table has no incremental apply) the full
-    // RIB — which at this instant is exactly published-state + batch.
+    // builder needs. For a build that is the RIB, which at this instant is
+    // exactly published state + batch. Otherwise it is how the builder
+    // catches up with the published generation: the journal suffix after
+    // its own generation, or, when the journal no longer reaches back that
+    // far, the published table itself.
     std::vector<PendingOp> batch;
     std::vector<PendingOp> replay;
     std::vector<Prefix> full_rib;
-    bool replayable = false;
+    std::shared_ptr<const Generation> published;
+    bool bulk = true;
     {
       MutexLock lock(mu_);
       batch = std::move(pending_);
       pending_.clear();
       result.ops = batch.size();
       if constexpr (kIncremental) {
-        replayable = journal_reaches(builder->gen);
-        if (replayable) {
-          for (const auto& b : journal_) {
-            if (b.gen > builder->gen) {
-              replay.insert(replay.end(), b.ops.begin(), b.ops.end());
+        bulk = active_->table.prefix_count() == 0;
+        if (!bulk) {
+          if (builder != nullptr && journal_reaches(builder->gen)) {
+            for (const auto& b : journal_) {
+              if (b.gen > builder->gen) replay.insert(replay.end(), b.ops.begin(), b.ops.end());
             }
+          } else {
+            published = active_;
           }
         }
       }
-      if (!replayable) {
-        full_rib.reserve(rib_.size());
-        for (const auto& [key, prefix] : rib_) full_rib.push_back(prefix);
-      }
+      if (bulk) full_rib = rib_.routes();
     }
 
-    // Mutate the standby buffer outside every lock: announces keep
-    // flowing, lookups never notice.
+    // Write the standby buffer outside every lock: announces keep flowing,
+    // lookups never notice. The published table never changes once
+    // published, and only this committer replaces it, so it is copied
+    // unlocked.
     bool crashed = false;
-    if (replayable) {
-      if constexpr (kIncremental) {
-        apply_ops(builder->table, replay, nullptr, &result.slots_written, &crashed);
-        if (!crashed) {
-          result.slots_written = 0;  // report batch work, not catch-up work
-          apply_ops(builder->table, batch, injector, &result.slots_written, &crashed);
-        }
-      }
-    } else {
+    if (bulk) {
+      if (builder == nullptr) builder = std::make_unique<Generation>();
       builder->table.build(full_rib);
       crashed = injector != nullptr &&
                 injector->should_fire(fault::Point::kFibUpdateCrashMidBatch);
+    } else if constexpr (kIncremental) {
+      if (published == nullptr) {
+        std::size_t caught_up = 0;  // report batch work, not catch-up work
+        apply_ops(builder->table, replay, nullptr, &caught_up, &crashed);
+      } else if (builder == nullptr) {
+        // A fresh buffer is constructed as the copy, with no pass that
+        // first fills it with empty entries.
+        builder = std::make_unique<Generation>(Generation{published->table});
+      } else {
+        builder->table = published->table;
+      }
+      published.reset();
+      apply_ops(builder->table, batch, injector, &result.slots_written, &crashed);
     }
 
     if (crashed) {
@@ -258,8 +268,13 @@ class FibManager {
       old = std::exchange(active_, std::move(fresh));
       generation_.store(next_gen, std::memory_order_release);
       if constexpr (kIncremental) {
-        journal_.push_back({next_gen, batch});
-        while (journal_.size() > kJournalDepth) journal_.pop_front();
+        if (bulk) {
+          // A build is not journaled, so no older buffer can replay past it.
+          journal_.clear();
+        } else {
+          journal_.push_back({next_gen, std::move(batch)});
+          while (journal_.size() > kJournalDepth) journal_.pop_front();
+        }
       }
     }
     domain_.retire(std::shared_ptr<const void>(std::move(old)));
@@ -314,7 +329,7 @@ class FibManager {
  private:
   /// A route change resolved against the RIB at announce/withdraw time.
   /// Field-compatible with ResolvedIpv4Op; kept per-Prefix so the same
-  /// journal machinery serves non-incremental tables.
+  /// pending queue serves non-incremental tables.
   struct PendingOp {
     Prefix prefix;
     bool announce = true;
@@ -343,7 +358,7 @@ class FibManager {
   };
 
   /// Journal depth = how far behind a pooled buffer may lag and still be
-  /// caught up incrementally; older buffers trigger a full rebuild. Also
+  /// caught up by replay; an older buffer copies the published table. Also
   /// the memory bound on the journal itself (kJournalDepth batches).
   static constexpr std::size_t kJournalDepth = 64;
   /// Buffers kept for reuse; more than the steady-state two (published +
@@ -359,16 +374,13 @@ class FibManager {
     });
   }
 
-  std::unique_ptr<Generation> acquire_buffer() {
-    {
-      MutexLock lock(pool_->mu);
-      if (!pool_->free.empty()) {
-        std::unique_ptr<Generation> g = std::move(pool_->free.back());
-        pool_->free.pop_back();
-        return g;
-      }
-    }
-    return std::make_unique<Generation>();  // fresh buffer holds gen-0 state
+  /// A recycled buffer, or nullptr when the pool is empty.
+  std::unique_ptr<Generation> take_pooled() {
+    MutexLock lock(pool_->mu);
+    if (pool_->free.empty()) return nullptr;
+    std::unique_ptr<Generation> g = std::move(pool_->free.back());
+    pool_->free.pop_back();
+    return g;
   }
 
   /// True when the journal contains every batch in (gen, published].
@@ -410,7 +422,7 @@ class FibManager {
   mutable Mutex mu_;
   /// Owner of the published generation; current_ aliases into it.
   std::shared_ptr<Generation> active_ GUARDED_BY(mu_);
-  std::unordered_map<RibKey, Prefix> rib_ GUARDED_BY(mu_);
+  Rib<Prefix, KeyFn> rib_ GUARDED_BY(mu_);
   std::vector<PendingOp> pending_ GUARDED_BY(mu_);
   std::deque<Batch> journal_ GUARDED_BY(mu_);
 

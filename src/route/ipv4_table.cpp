@@ -1,54 +1,143 @@
 #include "route/ipv4_table.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace ps::route {
 
 Ipv4Table::Ipv4Table() : tbl24_(1u << 24, kNoRoute), depth24_(1u << 24, 0) {}
 
+namespace {
+
+// build() packs a prefix into a u64 for sorting: network in bits 22..53,
+// length in bits 16..21, next hop in bits 0..15. Bits 16 and up order
+// prefixes by (network, length).
+constexpr int kKeyShift = 16;
+constexpr int kNetworkShift = 22;
+
+u64 pack(const Ipv4Prefix& p) {
+  return (u64{p.network()} << kNetworkShift) | (u64{p.length} << kKeyShift) | p.next_hop;
+}
+u32 packed_network(u64 x) { return static_cast<u32>(x >> kNetworkShift); }
+u8 packed_length(u64 x) { return static_cast<u8>((x >> kKeyShift) & 0x3f); }
+u16 packed_next_hop(u64 x) { return static_cast<u16>(x); }
+
+/// Stable LSD radix sort on the (network, length) bits: three 13-bit
+/// digits cover bits 16..54. Stable, so equal prefixes keep input order.
+void radix_sort(std::vector<u64>& keys) {
+  constexpr int kDigitBits = 13;
+  constexpr int kPasses = 3;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  const auto digit = [](u64 x, int pass) {
+    return static_cast<std::size_t>(x >> (kKeyShift + pass * kDigitBits)) & (kBuckets - 1);
+  };
+  std::vector<u32> offsets(kBuckets * kPasses, 0);
+  for (const u64 x : keys) {
+    for (int pass = 0; pass < kPasses; ++pass) ++offsets[pass * kBuckets + digit(x, pass)];
+  }
+  std::vector<u64> out(keys.size());
+  for (int pass = 0; pass < kPasses; ++pass) {
+    u32* offset = &offsets[pass * kBuckets];
+    u32 sum = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) sum += std::exchange(offset[b], sum);
+    for (const u64 x : keys) out[offset[digit(x, pass)]++] = x;
+    keys.swap(out);
+  }
+}
+
+/// Writes entries[0, count) and depths[0, count) once each, in address
+/// order. A prefix covers 2^(32 - shift - length) slots from slot
+/// (network >> shift) mod count; each slot takes the longest prefix that
+/// covers it, or (fill_next_hop, fill_depth) where none does. `prefixes`
+/// are packed, sorted, and all lie inside the block, so a prefix that
+/// covers another comes before it and the covering prefixes form a stack.
+void sweep(u16* entries, u8* depths, u32 count, int shift, u16 fill_next_hop, u8 fill_depth,
+           std::span<const u64> prefixes) {
+  struct Cover {
+    u32 end = 0;
+    u16 next_hop = 0;
+    u8 depth = 0;
+  };
+  // One cover per distinct length, plus the block's own fill.
+  std::array<Cover, 34> stack;
+  stack[0] = {count, fill_next_hop, fill_depth};
+  std::size_t top = 0;
+  u32 pos = 0;
+  const auto write_to = [&](u32 end) {
+    std::fill(entries + pos, entries + end, stack[top].next_hop);
+    std::fill(depths + pos, depths + end, stack[top].depth);
+    pos = end;
+  };
+  // Fill up to `limit`, popping every cover that ends on the way.
+  const auto advance_to = [&](u32 limit) {
+    while (top > 0 && stack[top].end <= limit) {
+      write_to(stack[top].end);
+      --top;
+    }
+    write_to(limit);
+  };
+  for (const u64 x : prefixes) {
+    const u32 first = (packed_network(x) >> shift) & (count - 1);
+    const u8 length = packed_length(x);
+    advance_to(first);
+    stack[++top] = {first + (u32{1} << (32 - shift - length)), packed_next_hop(x), length};
+  }
+  advance_to(count);
+}
+
+}  // namespace
+
 void Ipv4Table::build(std::span<const Ipv4Prefix> prefixes) {
-  std::fill(tbl24_.begin(), tbl24_.end(), kNoRoute);
-  std::fill(depth24_.begin(), depth24_.end(), u8{0});
-  tbl_long_.clear();
-  depth_long_.clear();
-  prefix_count_ = prefixes.size();
-
-  // Insert in ascending prefix-length order so longer prefixes overwrite
-  // shorter ones — this is what makes flat range-filling implement LPM.
-  std::vector<Ipv4Prefix> sorted(prefixes.begin(), prefixes.end());
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Ipv4Prefix& a, const Ipv4Prefix& b) { return a.length < b.length; });
-
-  for (const auto& p : sorted) {
+  std::vector<u64> sorted;
+  sorted.reserve(prefixes.size());
+  for (const auto& p : prefixes) {
     assert(p.length <= 32);
     assert(p.next_hop < kLongFlag);
-    const u32 net = p.network();
+    sorted.push_back(pack(p));
+  }
+  radix_sort(sorted);
 
-    if (p.length <= 24) {
-      const u32 first = net >> 8;
-      const u32 count = u32{1} << (24 - p.length);
-      for (u32 i = 0; i < count; ++i) {
-        u16& entry = tbl24_[first + i];
-        if (entry & kLongFlag) {
-          // A longer (>24) prefix was inserted before us in a duplicate
-          // build; cannot happen with length-sorted insertion.
-          assert(false && "length-sorted insertion violated");
-          continue;
-        }
-        entry = p.next_hop;
-        depth24_[first + i] = p.length;
-      }
+  // Keep the last of each run of equal prefixes (the sort is stable, so
+  // that is the last one given) and split at /24: the short ones sweep
+  // TBL24, the long ones their overflow chunks.
+  std::vector<u64> shorter;
+  std::vector<u64> longer;
+  shorter.reserve(sorted.size());
+  std::size_t chunks = 0;
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    const u64 x = sorted[i];
+    if (i + 1 < sorted.size() && (sorted[i + 1] >> kKeyShift) == (x >> kKeyShift)) continue;
+    if (packed_length(x) <= 24) {
+      shorter.push_back(x);
     } else {
-      const u32 chunk = chunk_for(net >> 8);
-      const u32 first = net & 0xff;
-      const u32 count = u32{1} << (32 - p.length);
-      for (u32 i = 0; i < count; ++i) {
-        tbl_long_[chunk * kChunk + first + i] = p.next_hop;
-        depth_long_[chunk * kChunk + first + i] = p.length;
+      if (longer.empty() || packed_network(longer.back()) >> 8 != packed_network(x) >> 8) {
+        ++chunks;
       }
+      longer.push_back(x);
     }
+  }
+  if (chunks > kLongFlag) throw std::length_error("too many >24-bit prefixes");
+  prefix_count_ = shorter.size() + longer.size();
+
+  sweep(tbl24_.data(), depth24_.data(), u32{1} << 24, 8, kNoRoute, 0, shorter);
+
+  // Each /24 holding a longer prefix gets a chunk, seeded with the TBL24
+  // entry it replaces.
+  tbl_long_.resize(chunks * kChunk);
+  depth_long_.resize(chunks * kChunk);
+  u32 chunk = 0;
+  for (std::size_t begin = 0; begin < longer.size(); ++chunk) {
+    const u32 idx24 = packed_network(longer[begin]) >> 8;
+    std::size_t end = begin + 1;
+    while (end < longer.size() && packed_network(longer[end]) >> 8 == idx24) ++end;
+    const std::size_t base = std::size_t{chunk} * kChunk;
+    sweep(&tbl_long_[base], &depth_long_[base], kChunk, 0, tbl24_[idx24], depth24_[idx24],
+          std::span<const u64>(longer).subspan(begin, end - begin));
+    tbl24_[idx24] = static_cast<u16>(kLongFlag | chunk);
+    begin = end;
   }
 }
 

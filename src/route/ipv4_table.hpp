@@ -54,9 +54,14 @@ class Ipv4Table {
   Ipv4Table();
 
   /// Build the table from a prefix set (longest-prefix semantics; when the
-  /// same prefix appears twice the last next hop wins). Used for the
-  /// initial load and for the from-scratch oracle; steady-state churn goes
-  /// through apply_resolved().
+  /// same prefix appears twice the last next hop wins, and prefix_count()
+  /// counts it once). One pass over memory: the prefixes are radix-sorted
+  /// by (network, length), then TBL24 is swept in address order with a
+  /// stack of the prefixes covering the current slot, so each entry and
+  /// its depth is written once; prefixes longer than /24 then fill their
+  /// overflow chunk the same way, one /24 at a time. Used for a bulk load
+  /// and for the from-scratch oracle; steady-state churn goes through
+  /// apply_resolved().
   void build(std::span<const Ipv4Prefix> prefixes);
 
   /// Incremental DIR-24-8 update (the rte_lpm depth-metadata scheme): an

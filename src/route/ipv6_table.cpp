@@ -87,12 +87,13 @@ void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
   };
   std::array<std::vector<LevelKey>, 129> levels;
   default_nh_ = kNoRoute;
-  prefix_count_ = prefixes.size();
+  prefix_count_ = 0;
   for (u32 order = 0; order < prefixes.size(); ++order) {
     const Ipv6Prefix& p = prefixes[order];
     assert(p.length <= 128);
     assert(p.next_hop <= kNoRoute);
     if (p.length == 0) {
+      prefix_count_ = 1;  // the levels count every other distinct prefix
       default_nh_ = p.next_hop;
       continue;
     }
@@ -134,8 +135,10 @@ void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
     keys.erase(std::unique(keys.begin(), keys.end(),
                            [](const LevelKey& a, const LevelKey& b) { return a.key == b.key; }),
                keys.end());
-    marker_count_ += static_cast<std::size_t>(
+    const auto markers = static_cast<std::size_t>(
         std::count_if(keys.begin(), keys.end(), [](const LevelKey& k) { return k.marker; }));
+    marker_count_ += markers;
+    prefix_count_ += keys.size() - markers;
     level_offset_[length] = offset;
     level_mask_[length] = 0;
     if (keys.empty()) continue;

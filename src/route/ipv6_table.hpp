@@ -83,7 +83,7 @@ class Ipv6Table {
   /// backtrack. No trie is built: levels are filled shortest first, and a
   /// marker's best-matching prefix is what lookup_in_arrays() returns over
   /// the levels already filled. When the same prefix appears twice the
-  /// last next hop wins. Lengths must be <= 128 and next hops <= kNoRoute
+  /// last next hop wins, and prefix_count() counts it once. Lengths must be <= 128 and next hops <= kNoRoute
   /// (FibManager::announce rejects anything else).
   void build(std::span<const Ipv6Prefix> prefixes);
 

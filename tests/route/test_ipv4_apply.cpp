@@ -3,7 +3,8 @@
 // withdraws, lookups through the incrementally maintained table must be
 // identical to a table rebuilt from the same RIB. This is the same
 // oracle the chaos churn test runs online; here it gets adversarial
-// small cases plus a randomized soak.
+// small cases plus a randomized soak. The other way round, the one-pass
+// build() must match a load applied one announce at a time.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -12,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "route/ipv4_table.hpp"
+#include "route/rib_gen.hpp"
 
 namespace ps::route {
 namespace {
@@ -198,6 +200,115 @@ TEST(Ipv4Apply, RandomizedChurnSoakMatchesRebuild) {
     if (round % 10 == 9) expect_equivalent(t, rib, rng);
   }
   expect_equivalent(t, rib, rng);
+}
+
+/// Loads `prefixes` into one table by applying them in order, one
+/// announce at a time, and into another with build(). The two must have
+/// the same overflow chunks and the same lookup at every /24 and at all
+/// 256 addresses under each chunk.
+void expect_build_matches_op_by_op(std::span<const Ipv4Prefix> prefixes) {
+  RibModel rib;
+  std::vector<ResolvedIpv4Op> ops;
+  for (const auto& p : prefixes) ops.push_back(rib.announce(p.addr.value, p.length, p.next_hop));
+  Ipv4Table applied;
+  applied.apply_resolved(ops);
+  Ipv4Table built;
+  built.build(prefixes);
+
+  ASSERT_EQ(built.overflow_chunks(), applied.overflow_chunks());
+  EXPECT_EQ(built.prefix_count(), rib.size());
+  for (u32 idx = 0; idx < (u32{1} << 24); ++idx) {
+    const u16 built_entry = built.tbl24()[idx];
+    const u16 applied_entry = applied.tbl24()[idx];
+    // An unflagged TBL24 entry is the lookup of every address in its /24.
+    if (((built_entry | applied_entry) & Ipv4Table::kLongFlag) == 0) {
+      if (built_entry != applied_entry) {
+        FAIL() << "/24 " << ip(idx << 8).to_string() << " built=" << built_entry
+               << " applied=" << applied_entry;
+      }
+      continue;
+    }
+    for (u32 host = 0; host < Ipv4Table::kChunk; ++host) {
+      const u32 a = (idx << 8) | host;
+      if (built.lookup(ip(a)) != applied.lookup(ip(a))) {
+        FAIL() << "addr=" << ip(a).to_string() << " built=" << built.lookup(ip(a))
+               << " applied=" << applied.lookup(ip(a));
+      }
+    }
+  }
+}
+
+TEST(Ipv4Apply, OnePassBuildMatchesOpByOpLoadOfThePaperScaleRib) {
+  const auto rib = generate_ipv4_rib();
+  ASSERT_EQ(rib.size(), kPaperIpv4PrefixCount);
+  expect_build_matches_op_by_op(rib);
+}
+
+TEST(Ipv4Apply, OnePassBuildMatchesOpByOpLoadOnEdgeCases) {
+  const auto pfx = [](u8 a, u8 b, u8 c, u8 d, u8 length, NextHop nh) {
+    return Ipv4Prefix{net::Ipv4Addr(a, b, c, d), length, nh};
+  };
+  // Nested prefixes that end on the same slot: the /16 and /24 end where
+  // the /8 ends, in TBL24, and the /25, /26 and /32 end where the chunk
+  // ends. The next /8 must see none of them.
+  const std::vector<Ipv4Prefix> nested_same_end = {
+      pfx(10, 0, 0, 0, 8, 1),       pfx(10, 255, 0, 0, 16, 2),   pfx(10, 255, 255, 0, 24, 3),
+      pfx(10, 255, 255, 128, 25, 4), pfx(10, 255, 255, 192, 26, 5), pfx(10, 255, 255, 255, 32, 6),
+      pfx(11, 0, 0, 0, 8, 7)};
+  // Adjacent siblings, in TBL24 and inside one chunk, with a gap after.
+  const std::vector<Ipv4Prefix> siblings = {
+      pfx(20, 0, 0, 0, 9, 1),   pfx(20, 128, 0, 0, 9, 2),  pfx(20, 0, 0, 0, 24, 3),
+      pfx(20, 0, 1, 0, 24, 4),  pfx(20, 0, 2, 0, 25, 5),   pfx(20, 0, 2, 128, 25, 6),
+      pfx(21, 0, 4, 0, 30, 7),  pfx(21, 0, 4, 4, 30, 8)};
+  // A /0 under everything, a chunk below it, and a duplicate: the last
+  // next hop wins.
+  const std::vector<Ipv4Prefix> default_route = {
+      pfx(0, 0, 0, 0, 0, 9), pfx(30, 0, 0, 0, 8, 1), pfx(30, 1, 2, 64, 26, 2),
+      pfx(30, 0, 0, 0, 8, 3)};
+  // The last address of the space, alone and under a /8.
+  const std::vector<Ipv4Prefix> last_address = {pfx(255, 255, 255, 255, 32, 3)};
+  const std::vector<Ipv4Prefix> last_address_covered = {pfx(255, 255, 255, 255, 32, 3),
+                                                        pfx(255, 0, 0, 0, 8, 4)};
+  // A /8 listed after its /24s and after a /28 under one of them.
+  const std::vector<Ipv4Prefix> cover_last = {pfx(40, 1, 2, 0, 24, 1), pfx(40, 200, 0, 0, 24, 2),
+                                              pfx(40, 1, 2, 16, 28, 5), pfx(40, 0, 0, 0, 8, 3)};
+
+  for (const auto* prefixes :
+       {&nested_same_end, &siblings, &default_route, &last_address, &last_address_covered,
+        &cover_last}) {
+    SCOPED_TRACE(::testing::Message() << "case with " << prefixes->size() << " prefixes, first "
+                                      << prefixes->front().addr.to_string() << "/"
+                                      << int{prefixes->front().length});
+    expect_build_matches_op_by_op(*prefixes);
+  }
+
+  // Spot checks that pin down the answers, not only the agreement.
+  Ipv4Table t;
+  t.build(nested_same_end);
+  EXPECT_EQ(t.lookup(ip(0x0AFFFFFF)), NextHop{6});
+  EXPECT_EQ(t.lookup(ip(0x0AFFFFFE)), NextHop{5});
+  EXPECT_EQ(t.lookup(ip(0x0AFFFF7F)), NextHop{3});
+  EXPECT_EQ(t.lookup(ip(0x0AFFFE00)), NextHop{2});
+  EXPECT_EQ(t.lookup(ip(0x0B000000)), NextHop{7});
+  EXPECT_EQ(t.lookup(ip(0x0C000000)), kNoRoute);
+  t.build(siblings);
+  EXPECT_EQ(t.lookup(ip(0x14000200)), NextHop{5});
+  EXPECT_EQ(t.lookup(ip(0x14000280)), NextHop{6});
+  EXPECT_EQ(t.lookup(ip(0x14000300)), NextHop{1});
+  EXPECT_EQ(t.lookup(ip(0x15000408)), kNoRoute);
+  t.build(default_route);
+  EXPECT_EQ(t.prefix_count(), 3u);
+  EXPECT_EQ(t.lookup(ip(0x1E000001)), NextHop{3});
+  EXPECT_EQ(t.lookup(ip(0x1E010240)), NextHop{2});
+  EXPECT_EQ(t.lookup(ip(0x1E010280)), NextHop{3});
+  EXPECT_EQ(t.lookup(ip(0xFFFFFFFF)), NextHop{9});
+  t.build(last_address);
+  EXPECT_EQ(t.lookup(ip(0xFFFFFFFF)), NextHop{3});
+  EXPECT_EQ(t.lookup(ip(0xFFFFFFFE)), kNoRoute);
+  t.build(cover_last);
+  EXPECT_EQ(t.lookup(ip(0x28010210)), NextHop{5});
+  EXPECT_EQ(t.lookup(ip(0x28010220)), NextHop{1});
+  EXPECT_EQ(t.lookup(ip(0x28010300)), NextHop{3});
 }
 
 }  // namespace

@@ -84,6 +84,14 @@ TEST(Ipv4Table, DefaultRouteLengthZero) {
   EXPECT_EQ(table.lookup(net::Ipv4Addr(99, 1, 1, 1)), 5);
 }
 
+TEST(Ipv4Table, LastDuplicatePrefixWins) {
+  Ipv4Table table;
+  const Ipv4Prefix prefixes[] = {p("10.0.0.0", 8, 1), p("10.0.0.0", 8, 2)};
+  table.build(prefixes);
+  EXPECT_EQ(table.lookup(net::Ipv4Addr(10, 1, 2, 3)), 2);
+  EXPECT_EQ(table.prefix_count(), 1u);
+}
+
 TEST(Ipv4Table, RebuildReplacesOldContents) {
   Ipv4Table table;
   const Ipv4Prefix first[] = {p("10.0.0.0", 8, 1)};

@@ -92,6 +92,7 @@ TEST(Ipv6Table, LastDuplicatePrefixWins) {
   };
   Ipv6Table table;
   table.build(prefixes);
+  EXPECT_EQ(table.prefix_count(), 3u);  // the duplicate counts once
 
   // 2001:db8:2::1
   EXPECT_EQ(table.lookup(net::Ipv6Addr::from_words(0x2001'0db8'0002'0000ULL, 1)), 2);
