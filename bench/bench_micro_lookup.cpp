@@ -6,6 +6,8 @@
 //
 // --smoke shrinks the key pool / pass count and skips the
 // google-benchmark suite, so CI can gate on the BENCH lines quickly.
+// The suite's cases print no BENCH line; time the table builds with
+//   bench_micro_lookup --benchmark_filter=Build
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -111,6 +113,33 @@ void BM_Ipv6LookupBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * static_cast<i64>(batch));
 }
 BENCHMARK(BM_Ipv6LookupBatch)->Arg(64)->Arg(256);
+
+// Whole-table builds at paper scale: the cost of an IPv4 load onto an
+// empty FIB and of every IPv6 commit. Every iteration rebuilds the same
+// table object, so only the first one allocates, as with a pooled buffer.
+void BM_Ipv4Build(benchmark::State& state) {
+  const auto rib = route::generate_ipv4_rib({});
+  route::Ipv4Table table;
+  for (auto _ : state) {
+    table.build(rib);
+    benchmark::DoNotOptimize(table.tbl24().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * static_cast<i64>(rib.size()));
+}
+BENCHMARK(BM_Ipv4Build)->Unit(benchmark::kMillisecond);
+
+void BM_Ipv6Build(benchmark::State& state) {
+  const auto rib = route::generate_ipv6_rib(route::kPaperIpv6PrefixCount, 8, 2010);
+  route::Ipv6Table table;
+  for (auto _ : state) {
+    table.build(rib);
+    benchmark::DoNotOptimize(table.slots().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * static_cast<i64>(rib.size()));
+}
+BENCHMARK(BM_Ipv6Build)->Unit(benchmark::kMillisecond);
 
 void BM_ToeplitzRss(benchmark::State& state) {
   net::FrameSpec spec;

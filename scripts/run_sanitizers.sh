@@ -5,6 +5,12 @@
 # aborts the test), each in its own build tree. Pass a preset name
 # ("address", "thread", or "undefined") to run just that one.
 #
+# Those trees are RelWithDebInfo, which defines NDEBUG, as does Release.
+# The "debug" preset, never run by default, builds with no sanitizer and
+# -DCMAKE_BUILD_TYPE=Debug, so every assert() is live; CI runs the FIB
+# suites under it:
+#   scripts/run_sanitizers.sh debug fib
+#
 # An optional second argument is a ctest -R regex to run a subset. The
 # overload-control / liveness layer leans hard on cross-thread protocols
 # (heartbeat publication, quarantine adoption, watermark reads), so its
@@ -54,8 +60,12 @@ fi
 
 for preset in $presets; do
   build_dir="build-san-$preset"
-  echo "=== PS_SANITIZE=$preset ($build_dir) ==="
-  cmake -B "$build_dir" -DPS_SANITIZE="$preset" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  echo "=== $preset ($build_dir) ==="
+  if [ "$preset" = "debug" ]; then
+    cmake -B "$build_dir" -DCMAKE_BUILD_TYPE=Debug
+  else
+    cmake -B "$build_dir" -DPS_SANITIZE="$preset" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  fi
   cmake --build "$build_dir" --target ps_tests -j "$(nproc)"
   # halt_on_error makes a sanitizer report fail the test run instead of
   # continuing past it.

@@ -80,10 +80,14 @@ class Ipv6Table {
 
   /// Rebuild from a prefix set: places prefixes and binary-search markers,
   /// and precomputes each slot's best-matching prefix so lookups never
-  /// backtrack. No trie is built: levels are filled shortest first, and a
-  /// marker's best-matching prefix is what lookup_in_arrays() returns over
-  /// the levels already filled. When the same prefix appears twice the
-  /// last next hop wins, and prefix_count() counts it once. Lengths must be <= 128 and next hops <= kNoRoute
+  /// backtrack. No trie is built: the prefixes are sorted once by
+  /// (network, length) and swept in that order with a stack of the
+  /// prefixes covering the current one. The sweep appends each key to its
+  /// level in ascending order, and a marker takes its best-matching prefix
+  /// from the deepest stack entry shorter than its level (else the default
+  /// route). Each level is then placed in that key order. When the same
+  /// prefix appears twice the last next hop wins, and prefix_count()
+  /// counts it once. Lengths must be <= 128 and next hops <= kNoRoute
   /// (FibManager::announce rejects anything else).
   void build(std::span<const Ipv6Prefix> prefixes);
 
@@ -108,8 +112,8 @@ class Ipv6Table {
                            default_nh_, out, n, total_probes);
   }
 
-  /// The shared lookup routine over raw arrays (runs unmodified as the GPU
-  /// kernel body, and gives build() its markers' best-matching prefixes).
+  /// The shared lookup routine over raw arrays: lookup() and the GPU
+  /// kernel body both run it unmodified.
   /// `probes` counts search steps, empty levels included (<= 8; 7 unless
   /// the table holds a /127 or /128).
   static NextHop lookup_in_arrays(const Slot* slots, const u32* offsets, const u32* masks,

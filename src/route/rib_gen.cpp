@@ -196,7 +196,11 @@ std::vector<net::Ipv6Addr> sample_covered_ipv6(std::span<const Ipv6Prefix> prefi
   for (std::size_t i = 0; i < count; ++i) {
     const auto& p = prefixes[rng.next_below(prefixes.size())];
     const u64 host = p.length >= 64 ? 0 : rng.next_u64() >> p.length;
-    pool.push_back(net::Ipv6Addr::from_words(p.addr.hi64() | host, rng.next_u64()));
+    // The low word keeps the prefix's bits past /64, if any.
+    const u64 keep_lo = mask128(0, ~u64{0}, p.length).lo;
+    pool.push_back(net::Ipv6Addr::from_words(p.addr.hi64() | host,
+                                             (p.addr.lo64() & keep_lo) |
+                                                 (rng.next_u64() & ~keep_lo)));
   }
   return pool;
 }

@@ -2,6 +2,7 @@
 // a route — the property the Figure 11 workloads depend on.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "gen/traffic.hpp"
 #include "route/rib_gen.hpp"
 
@@ -26,6 +27,27 @@ TEST(CoveredPools, EveryIpv6SampleHasARoute) {
   table.build(rib);
 
   const auto pool = sample_covered_ipv6(rib, 5000, 4);
+  ASSERT_EQ(pool.size(), 5000u);
+  for (const auto& addr : pool) {
+    EXPECT_NE(table.lookup(addr), kNoRoute) << addr.to_string();
+  }
+}
+
+TEST(CoveredPools, EveryIpv6SampleOfAPrefixPast64BitsHasARoute) {
+  // /65../128 prefixes and no default route: a sample that drops the
+  // prefix's low-word bits has no route.
+  Rng rng(5);
+  std::vector<Ipv6Prefix> rib;
+  for (int i = 0; i < 2000; ++i) {
+    const auto length = static_cast<u8>(rng.next_range(65, 128));
+    const Key128 key = mask128(rng.next_u64(), rng.next_u64(), length);
+    rib.push_back({net::Ipv6Addr::from_words(key.hi, key.lo), length,
+                   static_cast<NextHop>(rng.next_below(8))});
+  }
+  Ipv6Table table;
+  table.build(rib);
+
+  const auto pool = sample_covered_ipv6(rib, 5000, 6);
   ASSERT_EQ(pool.size(), 5000u);
   for (const auto& addr : pool) {
     EXPECT_NE(table.lookup(addr), kNoRoute) << addr.to_string();
