@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <new>
+#include <utility>
 
 namespace ps::gpu {
 
@@ -23,7 +24,8 @@ DeviceBuffer::DeviceBuffer(GpuDevice* device, std::size_t bytes) : account_(devi
   if (account_->allocated + bytes > perf::kGpuMemBytes) {
     throw std::bad_alloc();  // past the card's 1.5 GB GDDR5
   }
-  storage_.resize(bytes);
+  storage_ = std::make_unique_for_overwrite<u8[]>(bytes);
+  size_ = bytes;
   account_->allocated += bytes;
 }
 
@@ -32,10 +34,11 @@ DeviceBuffer::~DeviceBuffer() { release(); }
 void DeviceBuffer::release() noexcept {
   if (account_ != nullptr) {
     MutexLock lock(account_->mu);
-    account_->allocated -= storage_.size();
+    account_->allocated -= size_;
   }
   account_.reset();
-  storage_.clear();
+  storage_.reset();
+  size_ = 0;
 }
 
 DeviceBuffer& DeviceBuffer::operator=(DeviceBuffer&& other) noexcept {
@@ -43,8 +46,7 @@ DeviceBuffer& DeviceBuffer::operator=(DeviceBuffer&& other) noexcept {
     release();
     account_ = std::move(other.account_);
     storage_ = std::move(other.storage_);
-    other.account_.reset();
-    other.storage_.clear();
+    size_ = std::exchange(other.size_, 0);
   }
   return *this;
 }

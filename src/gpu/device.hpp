@@ -36,7 +36,10 @@ struct DeviceMemAccount {
   u64 allocated GUARDED_BY(mu) = 0;
 };
 
-/// RAII device-memory allocation (the CUDA cudaMalloc/cudaFree pair).
+/// RAII device-memory allocation (the CUDA cudaMalloc/cudaFree pair). As
+/// with cudaMalloc, the contents are unspecified until an H2D copy or a
+/// kernel writes them: the storage is allocated for overwrite, never
+/// zero-filled.
 class DeviceBuffer {
  public:
   DeviceBuffer() = default;
@@ -48,25 +51,26 @@ class DeviceBuffer {
   DeviceBuffer(const DeviceBuffer&) = delete;
   DeviceBuffer& operator=(const DeviceBuffer&) = delete;
 
-  u8* data() noexcept { return storage_.data(); }
-  const u8* data() const noexcept { return storage_.data(); }
-  std::size_t size() const noexcept { return storage_.size(); }
+  u8* data() noexcept { return storage_.get(); }
+  const u8* data() const noexcept { return storage_.get(); }
+  std::size_t size() const noexcept { return size_; }
   bool valid() const noexcept { return account_ != nullptr; }
 
   template <typename T>
   T* as() noexcept {
-    return reinterpret_cast<T*>(storage_.data());
+    return reinterpret_cast<T*>(storage_.get());
   }
   template <typename T>
   const T* as() const noexcept {
-    return reinterpret_cast<const T*>(storage_.data());
+    return reinterpret_cast<const T*>(storage_.get());
   }
 
  private:
   void release() noexcept;
 
   std::shared_ptr<DeviceMemAccount> account_;
-  std::vector<u8> storage_;
+  std::unique_ptr<u8[]> storage_;
+  std::size_t size_ = 0;
 };
 
 using StreamId = u32;

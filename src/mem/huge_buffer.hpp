@@ -5,9 +5,16 @@
 // cells and one of 2048-byte data cells — with cell i permanently bound to
 // RX-queue slot i and recycled as the circular queue wraps. This removes
 // per-packet allocator traffic and per-packet DMA mapping.
+//
+// The data cells are allocated for overwrite, not zero-filled: the NIC
+// writes a cell before anything reads it (RX DMA copies the frame in
+// before rx_peek exposes the descriptor; transmit copies the frame in
+// before the wire sink reads it), and readers only ever read the
+// descriptor's `length` bytes.
 #pragma once
 
 #include <cassert>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -40,13 +47,14 @@ class HugePacketBuffer {
   u32 cell_count() const noexcept { return cell_count_; }
   int numa_node() const noexcept { return numa_node_; }
 
+  /// A cell's bytes are unspecified until written.
   std::span<u8> cell_data(u32 index) {
     assert(index < cell_count_);
-    return {data_.data() + static_cast<std::size_t>(index) * kDataCellSize, kDataCellSize};
+    return {data_.get() + static_cast<std::size_t>(index) * kDataCellSize, kDataCellSize};
   }
   std::span<const u8> cell_data(u32 index) const {
     assert(index < cell_count_);
-    return {data_.data() + static_cast<std::size_t>(index) * kDataCellSize, kDataCellSize};
+    return {data_.get() + static_cast<std::size_t>(index) * kDataCellSize, kDataCellSize};
   }
 
   PacketMetadata& metadata(u32 index) {
@@ -80,7 +88,7 @@ class HugePacketBuffer {
  private:
   u32 cell_count_;
   int numa_node_;
-  std::vector<u8> data_;
+  std::unique_ptr<u8[]> data_;  // cell_count_ * kDataCellSize bytes
   std::vector<PacketMetadata> metadata_;
   std::vector<u32> crcs_;  // sidecar: one wire CRC per cell
 };

@@ -20,6 +20,8 @@
 // table when it does not, then applies the batch *incrementally*
 // (touching only the TBL24/TBLlong regions the ops cover). Tables with no
 // incremental apply (Ipv6Table) rebuild from the RIB on every commit.
+// A build or a copy that needs a fresh buffer constructs it as the build
+// (Table(span)) or as the copy, so no fill precedes either.
 //
 // Commit is transactional. A batch either publishes completely or leaves
 // the published generation untouched: only a fully written buffer moves
@@ -64,8 +66,8 @@ struct CommitResult {
   std::size_t slots_written = 0;  // table slots touched (incremental only)
 };
 
-/// Generation-published FIB. Table must provide build(span<const Prefix>)
-/// and prefix_count(); when it additionally provides
+/// Generation-published FIB. Table must provide build(span<const Prefix>),
+/// a constructor from that span, and prefix_count(); when it additionally provides
 /// apply_resolved(span<const ResolvedIpv4Op>) (Ipv4Table does), a commit
 /// onto a table that holds routes is incremental and only a commit onto an
 /// empty one builds; otherwise each commit is a from-scratch build, still
@@ -225,8 +227,13 @@ class FibManager {
     // unlocked.
     bool crashed = false;
     if (bulk) {
-      if (builder == nullptr) builder = std::make_unique<Generation>();
-      builder->table.build(full_rib);
+      if (builder == nullptr) {
+        // A fresh buffer is constructed by the build, which writes every
+        // entry once, with no pass that first fills it with empty entries.
+        builder = std::make_unique<Generation>(Generation{Table(full_rib)});
+      } else {
+        builder->table.build(full_rib);
+      }
       crashed = injector != nullptr &&
                 injector->should_fire(fault::Point::kFibUpdateCrashMidBatch);
     } else if constexpr (kIncremental) {

@@ -8,7 +8,41 @@
 
 namespace ps::route {
 
-Ipv4Table::Ipv4Table() : tbl24_(1u << 24, kNoRoute), depth24_(1u << 24, 0) {}
+Ipv4Table::Ipv4Table()
+    : tbl24_(std::make_unique_for_overwrite<u16[]>(kTbl24Entries)),
+      depth24_(std::make_unique<u8[]>(kTbl24Entries)) {
+  std::fill_n(tbl24_.get(), kTbl24Entries, kNoRoute);
+}
+
+Ipv4Table::Ipv4Table(std::span<const Ipv4Prefix> prefixes)
+    : tbl24_(std::make_unique_for_overwrite<u16[]>(kTbl24Entries)),
+      depth24_(std::make_unique_for_overwrite<u8[]>(kTbl24Entries)) {
+  build(prefixes);
+}
+
+Ipv4Table::Ipv4Table(const Ipv4Table& other)
+    : tbl24_(std::make_unique_for_overwrite<u16[]>(kTbl24Entries)),
+      tbl_long_(other.tbl_long_),
+      depth24_(std::make_unique_for_overwrite<u8[]>(kTbl24Entries)),
+      depth_long_(other.depth_long_),
+      prefix_count_(other.prefix_count_) {
+  std::copy_n(other.tbl24_.get(), kTbl24Entries, tbl24_.get());
+  std::copy_n(other.depth24_.get(), kTbl24Entries, depth24_.get());
+}
+
+Ipv4Table& Ipv4Table::operator=(const Ipv4Table& other) {
+  if (this == &other) return *this;
+  if (tbl24_ == nullptr) {
+    tbl24_ = std::make_unique_for_overwrite<u16[]>(kTbl24Entries);
+    depth24_ = std::make_unique_for_overwrite<u8[]>(kTbl24Entries);
+  }
+  std::copy_n(other.tbl24_.get(), kTbl24Entries, tbl24_.get());
+  std::copy_n(other.depth24_.get(), kTbl24Entries, depth24_.get());
+  tbl_long_ = other.tbl_long_;
+  depth_long_ = other.depth_long_;
+  prefix_count_ = other.prefix_count_;
+  return *this;
+}
 
 namespace {
 
@@ -122,7 +156,7 @@ void Ipv4Table::build(std::span<const Ipv4Prefix> prefixes) {
   if (chunks > kLongFlag) throw std::length_error("too many >24-bit prefixes");
   prefix_count_ = shorter.size() + longer.size();
 
-  sweep(tbl24_.data(), depth24_.data(), u32{1} << 24, 8, kNoRoute, 0, shorter);
+  sweep(tbl24_.get(), depth24_.get(), u32{1} << 24, 8, kNoRoute, 0, shorter);
 
   // Each /24 holding a longer prefix gets a chunk, seeded with the TBL24
   // entry it replaces.
@@ -256,7 +290,7 @@ std::size_t Ipv4Table::apply_one(const ResolvedIpv4Op& op) {
 }
 
 NextHop Ipv4Table::lookup(net::Ipv4Addr addr, int* probes) const {
-  return lookup_in_arrays(tbl24_.data(), tbl_long_.data(), addr.value, probes);
+  return lookup_in_arrays(tbl24_.get(), tbl_long_.data(), addr.value, probes);
 }
 
 void Ipv4ReferenceLpm::build(std::span<const Ipv4Prefix> prefixes) {

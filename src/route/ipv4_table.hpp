@@ -5,6 +5,7 @@
 // lookup in the common case, two in the worst case.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -51,7 +52,22 @@ struct ResolvedIpv4Op {
 
 class Ipv4Table {
  public:
+  /// An empty table: every address resolves to kNoRoute.
   Ipv4Table();
+
+  /// The table build(prefixes) would leave, with TBL24 and its depths
+  /// allocated for overwrite: the sweep is the only pass that writes them,
+  /// so a fresh table costs no fill before its build. An empty span gives
+  /// exactly the default-constructed table.
+  explicit Ipv4Table(std::span<const Ipv4Prefix> prefixes);
+
+  /// Copies are block copies of the 48 MiB of arrays into storage
+  /// allocated for overwrite. A moved-from table may only be assigned to
+  /// or destroyed; copy-assigning into one reallocates its arrays.
+  Ipv4Table(const Ipv4Table& other);
+  Ipv4Table& operator=(const Ipv4Table& other);
+  Ipv4Table(Ipv4Table&&) noexcept = default;
+  Ipv4Table& operator=(Ipv4Table&&) noexcept = default;
 
   /// Build the table from a prefix set (longest-prefix semantics; when the
   /// same prefix appears twice the last next hop wins, and prefix_count()
@@ -85,7 +101,7 @@ class Ipv4Table {
   /// Raw tables, for copying into GPU device memory. The GPU kernel and
   /// the CPU path share lookup_in_arrays() — the same algorithm on both
   /// processors, exactly as the paper ports it (section 5.5).
-  std::span<const u16> tbl24() const { return tbl24_; }
+  std::span<const u16> tbl24() const { return {tbl24_.get(), kTbl24Entries}; }
   std::span<const u16> tbl_long() const { return tbl_long_; }
 
   /// The shared lookup routine over raw arrays.
@@ -109,7 +125,7 @@ class Ipv4Table {
   /// miss latency into memory-level parallelism (the CPU-side analog of the
   /// paper's GPU batching, section 5).
   void lookup_batch(const u32* keys, NextHop* out, std::size_t n) const {
-    lookup_batch_in_arrays(tbl24_.data(), tbl_long_.data(), keys, out, n);
+    lookup_batch_in_arrays(tbl24_.get(), tbl_long_.data(), keys, out, n);
   }
 
   /// The shared batched routine over raw arrays. Software-pipelined: the
@@ -141,6 +157,7 @@ class Ipv4Table {
 
   static constexpr u16 kLongFlag = 0x8000;
   static constexpr u32 kChunk = 256;
+  static constexpr std::size_t kTbl24Entries = std::size_t{1} << 24;
   /// Keys kept in flight by lookup_batch. Sized to the calibrated
   /// memory-level parallelism of one core (perf::kCpuMlpSingleCore = 6)
   /// rounded up to a power of two.
@@ -177,14 +194,14 @@ class Ipv4Table {
   /// fresh chunk with the entry and depth currently covering that /24.
   u32 chunk_for(u32 idx24);
 
-  std::vector<u16> tbl24_;     // 2^24 entries
-  std::vector<u16> tbl_long_;  // kChunk entries per overflow chunk
+  std::unique_ptr<u16[]> tbl24_;  // kTbl24Entries entries
+  std::vector<u16> tbl_long_;     // kChunk entries per overflow chunk
   /// Depth metadata mirroring tbl24_/tbl_long_: the prefix length of the
   /// route each slot currently resolves to (0 for both "no route" and a
   /// /0 default — apply_resolved treats them identically, correctly).
   /// Only the control plane reads or writes these; lookups never touch
   /// them, so they cost no data-path cache footprint.
-  std::vector<u8> depth24_;
+  std::unique_ptr<u8[]> depth24_;  // kTbl24Entries entries
   std::vector<u8> depth_long_;
   std::size_t prefix_count_ = 0;
 };

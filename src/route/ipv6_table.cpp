@@ -180,8 +180,7 @@ void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
       --depth;
     }
     assert(depth < stack.size());
-    // A prefix whose next hop is kNoRoute answers with the default route.
-    stack[depth++] = {r.network, r.length, r.next_hop == kNoRoute ? default_nh_ : r.next_hop};
+    stack[depth++] = {r.network, r.length, r.next_hop};
 
     for_each_search_level(r.length, [&](int level) {
       const Key128 key = mask128(r.network.hi, r.network.lo, level);

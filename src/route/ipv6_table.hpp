@@ -78,6 +78,13 @@ class Ipv6Table {
     u16 occupied = 0;
   };
 
+  /// An empty table: no levels, every address resolves to kNoRoute.
+  Ipv6Table() = default;
+
+  /// The table build(prefixes) would leave. Lets FibManager construct a
+  /// fresh buffer by its build for either family.
+  explicit Ipv6Table(std::span<const Ipv6Prefix> prefixes) { build(prefixes); }
+
   /// Rebuild from a prefix set: places prefixes and binary-search markers,
   /// and precomputes each slot's best-matching prefix so lookups never
   /// backtrack. No trie is built: the prefixes are sorted once by
@@ -88,7 +95,9 @@ class Ipv6Table {
   /// route). Each level is then placed in that key order. When the same
   /// prefix appears twice the last next hop wins, and prefix_count()
   /// counts it once. Lengths must be <= 128 and next hops <= kNoRoute
-  /// (FibManager::announce rejects anything else).
+  /// (FibManager::announce rejects anything else). A prefix whose next
+  /// hop is kNoRoute blackholes its range, as in Ipv4Table: lookups under
+  /// it answer kNoRoute unless a longer prefix matches.
   void build(std::span<const Ipv6Prefix> prefixes);
 
   /// LPM lookup; `probes` receives the number of search steps, empty

@@ -5,6 +5,7 @@
 // churn telemetry, and the flat RIB on its own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -216,11 +217,21 @@ TEST(FibGenerations, BulkLoadBuildsAndTheNextCommitCopiesThePublishedTable) {
   for (const auto& p : rib) ASSERT_TRUE(fib.announce(p));
 
   // Onto the empty generation 0 the load is one build, not per-op work.
+  // The pool is empty, so the build constructs a fresh buffer that nothing
+  // filled first; it must equal a from-scratch build byte for byte.
   const auto load = fib.try_commit(nullptr);
   EXPECT_EQ(load.status, CommitStatus::kCommitted);
   EXPECT_EQ(load.ops, rib.size());
   EXPECT_EQ(load.slots_written, 0u);
   EXPECT_EQ(fib.read()->prefix_count(), rib.size());
+  {
+    Ipv4Table oracle;
+    oracle.build(rib);
+    const auto published = fib.snapshot();
+    EXPECT_EQ(published->overflow_chunks(), oracle.overflow_chunks());
+    EXPECT_TRUE(std::ranges::equal(published->tbl24(), oracle.tbl24()));
+    EXPECT_TRUE(std::ranges::equal(published->tbl_long(), oracle.tbl_long()));
+  }
   expect_matches_build(fib, rib);
 
   // The recycled generation-0 buffer lags by a batch no journal holds, so

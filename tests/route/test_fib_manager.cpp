@@ -124,6 +124,46 @@ TEST(FibManager, Ipv4OutOfRangeAnnounceIsRejected) {
   EXPECT_EQ(fib.snapshot()->lookup(net::Ipv4Addr(20, 0, 0, 1)), kNoRoute);
 }
 
+TEST(FibManager, Ipv4NoRouteNextHopBlackholesItsRange) {
+  // A /16 announced with next hop kNoRoute, between a routed /8 and a
+  // routed /24: its range drops, the /24 inside it still forwards.
+  Ipv4Fib fib;
+  ASSERT_TRUE(fib.announce(p(10, 0, 8, 1)));
+  ASSERT_TRUE(fib.announce(p(10, 1, 16, kNoRoute)));
+  ASSERT_TRUE(fib.announce({net::Ipv4Addr(10, 1, 2, 0), 24, 2}));
+  fib.commit();
+  EXPECT_EQ(fib.snapshot()->lookup(net::Ipv4Addr(10, 2, 0, 1)), 1);
+  EXPECT_EQ(fib.snapshot()->lookup(net::Ipv4Addr(10, 1, 3, 4)), kNoRoute);
+  EXPECT_EQ(fib.snapshot()->lookup(net::Ipv4Addr(10, 1, 2, 3)), 2);
+
+  // Withdrawn incrementally, the range falls back to the /8.
+  EXPECT_TRUE(fib.withdraw(p(10, 1, 16, kNoRoute)));
+  fib.commit();
+  EXPECT_EQ(fib.snapshot()->lookup(net::Ipv4Addr(10, 1, 3, 4)), 1);
+  EXPECT_EQ(fib.snapshot()->lookup(net::Ipv4Addr(10, 1, 2, 3)), 2);
+}
+
+TEST(FibManager, Ipv6NoRouteNextHopBlackholesItsRange) {
+  // The same nesting in IPv6, with a default route under all three: the
+  // kNoRoute /48 drops its range rather than answering the default.
+  const auto addr = [](u64 hi) { return net::Ipv6Addr::from_words(hi, 1); };
+  Ipv6Fib fib;
+  ASSERT_TRUE(fib.announce({net::Ipv6Addr{}, 0, 9}));
+  ASSERT_TRUE(fib.announce({addr(0x2001'0db8'0000'0000ULL), 32, 1}));
+  ASSERT_TRUE(fib.announce({addr(0x2001'0db8'0001'0000ULL), 48, kNoRoute}));
+  ASSERT_TRUE(fib.announce({addr(0x2001'0db8'0001'0002ULL), 64, 2}));
+  fib.commit();
+  EXPECT_EQ(fib.snapshot()->lookup(addr(0x3000'0000'0000'0000ULL)), 9);
+  EXPECT_EQ(fib.snapshot()->lookup(addr(0x2001'0db8'0002'0000ULL)), 1);
+  EXPECT_EQ(fib.snapshot()->lookup(addr(0x2001'0db8'0001'0003ULL)), kNoRoute);
+  EXPECT_EQ(fib.snapshot()->lookup(addr(0x2001'0db8'0001'0002ULL)), 2);
+
+  EXPECT_TRUE(fib.withdraw({addr(0x2001'0db8'0001'0000ULL), 48, kNoRoute}));
+  fib.commit();
+  EXPECT_EQ(fib.snapshot()->lookup(addr(0x2001'0db8'0001'0003ULL)), 1);
+  EXPECT_EQ(fib.snapshot()->lookup(addr(0x2001'0db8'0001'0002ULL)), 2);
+}
+
 TEST(FibManager, Ipv6OutOfRangeAnnounceIsRejected) {
   const net::Ipv6Addr doc = net::Ipv6Addr::from_words(0x2001'0db8'0000'0000ULL, 0);
   Ipv6Fib fib;

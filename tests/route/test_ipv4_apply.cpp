@@ -4,11 +4,15 @@
 // identical to a table rebuilt from the same RIB. This is the same
 // oracle the chaos churn test runs online; here it gets adversarial
 // small cases plus a randomized soak. The other way round, the one-pass
-// build() must match a load applied one announce at a time.
+// build() must match a load applied one announce at a time, and a table
+// constructed from its prefixes or copied must match build() byte for
+// byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -202,10 +206,27 @@ TEST(Ipv4Apply, RandomizedChurnSoakMatchesRebuild) {
   expect_equivalent(t, rib, rng);
 }
 
+/// Index of the first entry where `got` differs from `want`; the common
+/// size when none does.
+std::size_t first_difference(std::span<const u16> got, std::span<const u16> want) {
+  return static_cast<std::size_t>(std::ranges::mismatch(got, want).in1 - got.begin());
+}
+
+/// Byte for byte: both arrays and both counts.
+void expect_same_table(const Ipv4Table& got, const Ipv4Table& want) {
+  EXPECT_EQ(got.prefix_count(), want.prefix_count());
+  ASSERT_EQ(got.overflow_chunks(), want.overflow_chunks());
+  EXPECT_EQ(first_difference(got.tbl24(), want.tbl24()), want.tbl24().size()) << "tbl24";
+  EXPECT_EQ(first_difference(got.tbl_long(), want.tbl_long()), want.tbl_long().size())
+      << "tbl_long";
+}
+
 /// Loads `prefixes` into one table by applying them in order, one
 /// announce at a time, and into another with build(). The two must have
 /// the same overflow chunks and the same lookup at every /24 and at all
-/// 256 addresses under each chunk.
+/// 256 addresses under each chunk. A table constructed from the prefixes,
+/// whose arrays nothing fills before the build, must equal the build onto
+/// a default table byte for byte.
 void expect_build_matches_op_by_op(std::span<const Ipv4Prefix> prefixes) {
   RibModel rib;
   std::vector<ResolvedIpv4Op> ops;
@@ -214,6 +235,7 @@ void expect_build_matches_op_by_op(std::span<const Ipv4Prefix> prefixes) {
   applied.apply_resolved(ops);
   Ipv4Table built;
   built.build(prefixes);
+  expect_same_table(Ipv4Table(prefixes), built);
 
   ASSERT_EQ(built.overflow_chunks(), applied.overflow_chunks());
   EXPECT_EQ(built.prefix_count(), rib.size());
@@ -273,6 +295,10 @@ TEST(Ipv4Apply, OnePassBuildMatchesOpByOpLoadOnEdgeCases) {
   const std::vector<Ipv4Prefix> cover_last = {pfx(40, 1, 2, 0, 24, 1), pfx(40, 200, 0, 0, 24, 2),
                                               pfx(40, 1, 2, 16, 28, 5), pfx(40, 0, 0, 0, 8, 3)};
 
+  // No prefixes at all: the constructor's sweep alone must give exactly
+  // the default-constructed table.
+  expect_same_table(Ipv4Table(std::span<const Ipv4Prefix>()), Ipv4Table());
+
   for (const auto* prefixes :
        {&nested_same_end, &siblings, &default_route, &last_address, &last_address_covered,
         &cover_last}) {
@@ -309,6 +335,34 @@ TEST(Ipv4Apply, OnePassBuildMatchesOpByOpLoadOnEdgeCases) {
   EXPECT_EQ(t.lookup(ip(0x28010210)), NextHop{5});
   EXPECT_EQ(t.lookup(ip(0x28010220)), NextHop{1});
   EXPECT_EQ(t.lookup(ip(0x28010300)), NextHop{3});
+}
+
+TEST(Ipv4Apply, CopiesReproduceABuiltTableByteForByte) {
+  const auto rib = generate_ipv4_rib({.prefix_count = 20'000, .num_next_hops = 16, .seed = 7});
+  Ipv4Table built(rib);
+  ASSERT_GT(built.overflow_chunks(), 0u);
+
+  Ipv4Table constructed(built);
+  expect_same_table(constructed, built);
+  Ipv4Table assigned;
+  assigned = built;
+  expect_same_table(assigned, built);
+  // A moved-from table has no arrays; assigning to it allocates them.
+  Ipv4Table moved_from(rib);
+  const Ipv4Table moved_to(std::move(moved_from));
+  expect_same_table(moved_to, built);
+  moved_from = built;
+  expect_same_table(moved_from, built);
+
+  // The depths came along too: an announce overwrites only the entries no
+  // more specific than itself, so it reads them.
+  ResolvedIpv4Op cover;
+  cover.prefix = {ip(0), 1, 99};
+  cover.is_new = true;
+  for (Ipv4Table* t : {&built, &constructed, &assigned, &moved_from}) {
+    t->apply_resolved(std::span<const ResolvedIpv4Op>(&cover, 1));
+  }
+  for (const Ipv4Table* t : {&constructed, &assigned, &moved_from}) expect_same_table(*t, built);
 }
 
 }  // namespace

@@ -299,7 +299,9 @@ TEST(Ipv6Table, DefaultRouteGivenTwice) {
 /// Prefixes of every length 0..128 with random low words: a default
 /// route, /128 host routes, and prefixes nested inside earlier ones so
 /// markers and best-matching prefixes reach past bit 64 — the part of the
-/// table generate_ipv6_rib (/16../64, zero low word) never builds.
+/// table generate_ipv6_rib (/16../64, zero low word) never builds. One
+/// next-hop value in 32 stands for kNoRoute, so some ranges are
+/// blackholed.
 std::vector<Ipv6Prefix> full_range_rib(u64 seed) {
   Rng rng(seed);
   std::vector<Ipv6Prefix> rib = {{net::Ipv6Addr{}, 0, 31}};
@@ -318,8 +320,9 @@ std::vector<Ipv6Prefix> full_range_rib(u64 seed) {
       }
     }
     const Key128 key = mask128(hi, lo, length);
+    const auto next_hop = static_cast<NextHop>(rng.next_below(32));
     rib.push_back({net::Ipv6Addr::from_words(key.hi, key.lo), length,
-                   static_cast<NextHop>(rng.next_below(32))});
+                   next_hop == 0 ? kNoRoute : next_hop});
   }
   return rib;
 }
