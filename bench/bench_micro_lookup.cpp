@@ -6,8 +6,9 @@
 //
 // --smoke shrinks the key pool / pass count and skips the
 // google-benchmark suite, so CI can gate on the BENCH lines quickly.
-// The suite's cases print no BENCH line; time the table builds with
-//   bench_micro_lookup --benchmark_filter=Build
+// The suite's cases print no BENCH line; time the table builds, and the
+// whole FIB loads around them, with
+//   bench_micro_lookup --benchmark_filter='Build|FibLoad'
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -20,6 +21,7 @@
 #include "nic/rss.hpp"
 #include "openflow/flow.hpp"
 #include "openflow/switch_table.hpp"
+#include "route/fib_manager.hpp"
 #include "route/ipv4_table.hpp"
 #include "route/ipv6_table.hpp"
 #include "route/rib_gen.hpp"
@@ -140,6 +142,37 @@ void BM_Ipv6Build(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * static_cast<i64>(rib.size()));
 }
 BENCHMARK(BM_Ipv6Build)->Unit(benchmark::kMillisecond);
+
+// A whole FIB load at paper scale: construct the FIB, announce the RIB
+// route by route, commit. That is a router's set-up minus the router, and
+// unlike BM_*Build it covers the announces and the RIB. Tearing the FIB
+// down is not timed. With glibc's default malloc settings every load
+// maps and page-faults fresh tables (about half its time for IPv4); to
+// reuse the heap as ps_bench does, run with
+//   GLIBC_TUNABLES=glibc.malloc.mmap_max=0:glibc.malloc.trim_threshold=1073741824
+template <typename Fib, typename Rib>
+void fib_load(benchmark::State& state, const Rib& rib) {
+  for (auto _ : state) {
+    auto fib = std::make_unique<Fib>();
+    for (const auto& p : rib) fib->announce(p);
+    benchmark::DoNotOptimize(fib->commit());
+    state.PauseTiming();
+    fib.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * static_cast<i64>(rib.size()));
+}
+
+void BM_Ipv4FibLoad(benchmark::State& state) {
+  fib_load<route::Ipv4Fib>(state, route::generate_ipv4_rib({}));
+}
+BENCHMARK(BM_Ipv4FibLoad)->Unit(benchmark::kMillisecond);
+
+void BM_Ipv6FibLoad(benchmark::State& state) {
+  fib_load<route::Ipv6Fib>(state,
+                           route::generate_ipv6_rib(route::kPaperIpv6PrefixCount, 8, 2010));
+}
+BENCHMARK(BM_Ipv6FibLoad)->Unit(benchmark::kMillisecond);
 
 void BM_ToeplitzRss(benchmark::State& state) {
   net::FrameSpec spec;

@@ -28,11 +28,12 @@
 # under TSan.
 #
 # The FIB layer — the one-pass DIR-24-8 build's radix counts and stack
-# sweep, the flat RIB's wrap-around erase, the commit paths and the
-# updater — is collected under the "fib" shorthand. CI runs it under
-# ASan+UBSan and standalone UBSan before the full suites, so a mistake
-# there fails fast:
-#   scripts/run_sanitizers.sh "address undefined" fib
+# sweep, the flat RIB's wrap-around erase, the commit paths, the settling
+# of queued announces while another thread announces, and the updater —
+# is collected under the "fib" shorthand. CI runs it under ASan+UBSan,
+# TSan and standalone UBSan before the full suites, so a mistake there
+# fails fast:
+#   scripts/run_sanitizers.sh "address thread undefined" fib
 #
 # The "lockfree" shorthand selects by ctest *label* instead of regex: it
 # runs the LockfreeSuite entry (SPSC ring, WakeSignal, SpscFanIn, epoch

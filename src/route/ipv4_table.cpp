@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -82,6 +84,18 @@ void radix_sort(std::vector<u64>& keys) {
   }
 }
 
+/// Writes `value` to [first, last) with 64-bit stores of the entry
+/// replicated four times, once `first` is 8-byte aligned. A run of u16
+/// stores is one store per entry at -O2, four times as many as this needs.
+void fill_entries(u16* first, u16* last, u16 value) {
+  const u64 word = value * 0x0001'0001'0001'0001ULL;
+  for (; first != last && reinterpret_cast<std::uintptr_t>(first) % sizeof word != 0; ++first) {
+    *first = value;
+  }
+  for (; last - first >= 4; first += 4) std::memcpy(first, &word, sizeof word);
+  for (; first != last; ++first) *first = value;
+}
+
 /// Writes entries[0, count) and depths[0, count) once each, in address
 /// order. A prefix covers 2^(32 - shift - length) slots from slot
 /// (network >> shift) mod count; each slot takes the longest prefix that
@@ -101,7 +115,7 @@ void sweep(u16* entries, u8* depths, u32 count, int shift, u16 fill_next_hop, u8
   std::size_t top = 0;
   u32 pos = 0;
   const auto write_to = [&](u32 end) {
-    std::fill(entries + pos, entries + end, stack[top].next_hop);
+    fill_entries(entries + pos, entries + end, stack[top].next_hop);
     std::fill(depths + pos, depths + end, stack[top].depth);
     pos = end;
   };

@@ -1,7 +1,10 @@
 // The control plane's route set (RIB): one open-addressing array of
 // prefixes with linear probing, keyed by a prefix's exact (network,
 // length). No heap node per route; an insert probes once; listing every
-// route is a linear scan of the array.
+// route is a linear scan of the array. A bulk load reserves its final size
+// once and prefetches home slots ahead of its inserts (FibManager settles
+// queued announces that way), so it neither doubles the array nor waits
+// on each slot's cache miss in turn.
 #pragma once
 
 #include <bit>
@@ -34,7 +37,7 @@ struct RibHash {
 /// is free when its `length` is kFree. Erase shifts the later members of
 /// the probe run back into the gap instead of leaving a tombstone, so a
 /// search stops at the first free slot. The array doubles before it is
-/// half full.
+/// half full, unless reserve() has already sized it.
 template <typename Prefix, typename KeyFn, typename Hash = RibHash>
 class Rib {
   using Key = std::invoke_result_t<KeyFn, const Prefix&>;
@@ -51,7 +54,7 @@ class Rib {
   /// Add `prefix`, or replace the route with its key. Returns true when
   /// the key was not present.
   bool insert_or_assign(const Prefix& prefix) {
-    if ((size_ + 1) * 2 > slots_.size()) grow();
+    if ((size_ + 1) * 2 > slots_.size()) rehash(slots_.size() * 2);
     const Key key = KeyFn{}(prefix);
     std::size_t i = home(key);
     for (; slots_[i].length != kFree; i = next(i)) {
@@ -95,6 +98,20 @@ class Rib {
   }
 
   std::size_t size() const { return size_; }
+  std::size_t capacity() const { return slots_.size(); }
+
+  /// Size the array so that it holds `routes` routes without doubling: one
+  /// rehash now instead of one per doubling on the way. Does nothing when
+  /// the array is already that large.
+  void reserve(std::size_t routes) {
+    if (routes * 2 > slots_.size()) rehash(std::bit_ceil(routes * 2));
+  }
+
+  /// Start loading the cache line of `prefix`'s home slot, for an insert a
+  /// few prefixes later. A hint only: a rehash in between wastes it.
+  void prefetch(const Prefix& prefix) const {
+    __builtin_prefetch(&slots_[home(KeyFn{}(prefix))], 1);
+  }
 
   /// Every route, in slot order.
   std::vector<Prefix> routes() const {
@@ -125,9 +142,9 @@ class Rib {
     return kAbsent;
   }
 
-  void grow() {
+  void rehash(std::size_t capacity) {
     std::vector<Prefix> old =
-        std::exchange(slots_, std::vector<Prefix>(slots_.size() * 2, free_slot()));
+        std::exchange(slots_, std::vector<Prefix>(capacity, free_slot()));
     for (const Prefix& p : old) {
       if (p.length == kFree) continue;
       std::size_t i = home(KeyFn{}(p));

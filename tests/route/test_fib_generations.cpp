@@ -408,5 +408,38 @@ TEST(FibRib, OneLongCollidingRunSurvivesGrowthAndErase) {
   expect_holds(rib, kept);
 }
 
+TEST(FibRib, ReserveThenInsertsNeverRehash) {
+  // reserve(n) sizes the array once: the inserts that bring the RIB up to
+  // n routes, from empty or on top of routes it holds, never double it.
+  for (std::size_t held : {0, 37}) {
+    for (std::size_t n = held + 1; n <= held + 600; ++n) {
+      Rib<Ipv4Prefix, Ipv4PrefixKey> rib;
+      u32 next = 0;
+      const auto insert_one = [&] { return rib.insert_or_assign(pfx(next++ << 8, 24, 1)); };
+      for (std::size_t i = 0; i < held; ++i) ASSERT_TRUE(insert_one());
+      rib.reserve(n);
+      const std::size_t capacity = rib.capacity();
+      EXPECT_LE(capacity, std::max<std::size_t>(16, 4 * n));
+      while (rib.size() < n) ASSERT_TRUE(insert_one());
+      ASSERT_EQ(rib.capacity(), capacity) << "held=" << held << " n=" << n;
+    }
+  }
+}
+
+TEST(FibRib, ReserveBelowTheCurrentSizeDoesNothing) {
+  SmallRib rib(8);
+  std::vector<Ipv4Prefix> routes;
+  for (u32 i = 0; i < 100; ++i) {
+    routes.push_back(pfx((i % 250) << 24 | i << 8, 24, static_cast<NextHop>(i)));
+    ASSERT_TRUE(rib.insert_or_assign(routes.back()));
+  }
+  const std::size_t capacity = rib.capacity();
+  for (std::size_t n : {0, 1, 50, 99, 100}) {
+    rib.reserve(n);
+    EXPECT_EQ(rib.capacity(), capacity) << "n=" << n;
+  }
+  expect_holds(rib, routes);
+}
+
 }  // namespace
 }  // namespace ps::route
