@@ -8,16 +8,19 @@
 # Those trees are RelWithDebInfo, which defines NDEBUG, as does Release.
 # The "debug" preset, never run by default, builds with no sanitizer and
 # -DCMAKE_BUILD_TYPE=Debug, so every assert() is live; CI runs the FIB
-# suites under it:
+# and liveness suites under it:
 #   scripts/run_sanitizers.sh debug fib
 #
 # An optional second argument is a ctest -R regex to run a subset. The
-# overload-control / liveness layer leans hard on cross-thread protocols
-# (heartbeat publication, quarantine adoption, watermark reads), so its
-# suites are worth a focused TSan pass while iterating — the trailing
-# 'Chaos' also pulls in IntegrityChaos, the corruption-under-churn suite:
-#   scripts/run_sanitizers.sh thread \
-#     'Supervisor|SupervisorChaos|OverloadControl|Admission|LinkFlap|FibChurn|RouterBackpressure|Chaos'
+# router's threads, the io-engine and NIC model under them, and the
+# overload-control / liveness layer lean hard on cross-thread protocols
+# (heartbeat publication, quarantine adoption, watermark reads) and carry
+# the asserts Router::stop and attach() make, so they are collected under
+# the "liveness" shorthand ('Router' also pulls in RouterBackpressure,
+# 'Chaos' the supervisor, integrity and FIB chaos suites). CI runs it
+# under the debug preset, and under TSan before the full suite:
+#   scripts/run_sanitizers.sh debug liveness
+#   scripts/run_sanitizers.sh thread liveness
 #
 # The telemetry layer has its own cross-thread surface — snapshot() racing
 # single-writer counters, the tracer's per-slot seqlock, the GPU/CPU
@@ -46,6 +49,7 @@ cd "$(dirname "$0")/.."
 
 telemetry_filter='TelemetryConservation|MetricsRegistry|PipelineTrace|BenchLine|Exporter|StageBreakdown|GpuCpuDifferential'
 fib_filter='Fib|Ipv4Apply|Ipv4Table|Ipv4Edge|Ipv6Table|Ipv6Edge'
+liveness_filter='Router|IoEngine|NicPort|Supervisor|OverloadControl|Admission|LinkFlap|Chaos|Testbed'
 
 presets="${1:-address thread undefined}"
 filter="$2"
@@ -54,6 +58,8 @@ if [ "$filter" = "telemetry" ]; then
   filter="$telemetry_filter"
 elif [ "$filter" = "fib" ]; then
   filter="$fib_filter"
+elif [ "$filter" = "liveness" ]; then
+  filter="$liveness_filter"
 elif [ "$filter" = "lockfree" ]; then
   label="lockfree"
   filter=""

@@ -596,7 +596,7 @@ void Router::on_master_stall(int node) {
 }
 
 void Router::start() {
-  if (started_) return;
+  if (started_) return;  // single-use: a stopped router stays stopped
   started_ = true;
   running_.store(true, std::memory_order_release);
 
@@ -632,12 +632,12 @@ void Router::start() {
 }
 
 void Router::stop() {
-  if (!started_) return;
+  if (!started_ || stopped_) return;
+  stopped_ = true;
   running_.store(false, std::memory_order_release);
   // Supervisor first: threads about to exit stop beating, and shutdown
   // must not be misread as a mass stall.
   supervisor_.stop();
-  engine_.stop();
   // Workers stop fetching, flush their in-flight chunks, and exit; masters
   // exit once their queues are closed and drained.
   for (auto& node : nodes_) {
@@ -651,7 +651,6 @@ void Router::stop() {
       if (node->gpu.device != nullptr) node->gpu.device->set_op_observer(nullptr);
     }
   }
-  started_ = false;
   assert(audit().balanced() && "packet conservation violated");
 }
 

@@ -177,7 +177,8 @@ class Router {
   void set_host_stack(slowpath::HostStack* stack) { host_stack_ = stack; }
 
   /// Spawn worker and master threads (and the heartbeat supervisor) and
-  /// start forwarding.
+  /// start forwarding. A Router is single-use: stop() closes the masters'
+  /// input queues for good, so start() after stop() starts nothing.
   void start();
 
   /// Stop threads and join them. Idempotent. Asserts the conservation
@@ -453,6 +454,7 @@ class Router {
   // mc: router.running -- release start/stop latch; loops load acquire
   ps::atomic<bool> running_{false};
   bool started_ = false;
+  bool stopped_ = false;
 };
 
 }  // namespace ps::core

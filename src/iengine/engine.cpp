@@ -109,29 +109,6 @@ u32 IoHandle::recv_chunk(PacketChunk& chunk, u32 batch_cap, u32 per_queue_cap) {
   return total;
 }
 
-u32 IoHandle::recv_chunk_wait(PacketChunk& chunk) {
-  while (true) {
-    const u32 n = recv_chunk(chunk);
-    if (n > 0) return n;
-    if (engine_->stopped()) return 0;
-
-    // Dry: switch from polling to interrupts (section 5.2). Arm every
-    // queue; any enable may deliver a pending edge synchronously.
-    for (const auto& ref : queues_) {
-      engine_->port(ref.port)->enable_rx_interrupt(ref.queue);
-    }
-    {
-      MutexLock lock(mu_);
-      while (!irq_pending_ && !engine_->stopped()) cv_.wait(mu_);
-      irq_pending_ = false;
-    }
-    // Back to polling: disable interrupts while we drain.
-    for (const auto& ref : queues_) {
-      engine_->port(ref.port)->disable_rx_interrupt(ref.queue);
-    }
-  }
-}
-
 u32 IoHandle::send_chunk(PacketChunk& chunk) {
   const u32 sent = stage_chunk_tx(chunk);
   flush_tx();
@@ -199,28 +176,14 @@ bool IoHandle::send_frame(int port, std::span<const u8> frame) {
   return engine_->port(port)->transmit(tx_queue_, frame);
 }
 
-void IoHandle::on_interrupt() {
-  {
-    MutexLock lock(mu_);
-    irq_pending_ = true;
-  }
-  cv_.notify_one();
-}
-
 PacketIoEngine::PacketIoEngine(const pcie::Topology& topo, std::vector<nic::NicPort*> ports,
                                EngineConfig config)
     : topo_(topo), ports_(std::move(ports)), config_(config) {
   queue_owner_.resize(ports_.size());
   for (std::size_t p = 0; p < ports_.size(); ++p) {
     queue_owner_[p].resize(ports_[p]->config().num_rx_queues, nullptr);
-    ports_[p]->set_interrupt_handler([this](int port, u16 queue) {
-      IoHandle* owner = queue_owner_[static_cast<std::size_t>(port)][queue];
-      if (owner != nullptr) owner->on_interrupt();
-    });
   }
 }
-
-PacketIoEngine::~PacketIoEngine() { stop(); }
 
 IoHandle* PacketIoEngine::attach(int core, std::vector<QueueRef> queues) {
   for (const auto& ref : queues) {
@@ -239,11 +202,6 @@ IoHandle* PacketIoEngine::attach(int core, std::vector<QueueRef> queues) {
   }
   handles_.push_back(std::move(handle));
   return handles_.back().get();
-}
-
-void PacketIoEngine::stop() {
-  stopping_.store(true, std::memory_order_release);
-  for (auto& handle : handles_) handle->on_interrupt();
 }
 
 }  // namespace ps::iengine

@@ -7,10 +7,12 @@
 //    user buffer with offset/length arrays (section 4.3);
 //  - explicit per-(NIC, RX queue) virtual interfaces owned by exactly one
 //    thread — no shared per-NIC queue, no locks (Figure 8(b));
-//  - round-robin fetching over a thread's virtual interfaces for fairness;
-//  - interrupt/poll switching in user context to avoid receive livelock:
-//    poll while packets pend, re-arm the RX interrupt and block when dry
-//    (section 5.2).
+//  - round-robin fetching over a thread's virtual interfaces for fairness.
+//
+// The paper's engine also blocks on an RX interrupt when its queues run
+// dry (section 5.2). This one never blocks: a receive on dry queues
+// returns 0, and the router's idle worker naps on its WakeSignal instead
+// (DESIGN.md section 2).
 //
 // CPU costs of the kernel path are charged per calibration so the model
 // reproduces Figures 5 and 6.
@@ -21,7 +23,6 @@
 #include <vector>
 
 #include "common/atomic_shim.hpp"
-#include "common/thread_annotations.hpp"
 
 #include "iengine/chunk.hpp"
 #include "nic/nic.hpp"
@@ -30,7 +31,6 @@
 namespace ps::iengine {
 
 struct EngineConfig {
-  u32 rx_batch_cap = PacketChunk::kDefaultMaxPackets;  // chunk size cap (§5.3)
   /// Charge the §4.5 NUMA-blind penalty when a thread drains a queue whose
   /// NIC lives on another node (used by bench_ablation_numa).
   bool numa_aware = true;
@@ -47,8 +47,8 @@ struct QueueRef {
 
 class PacketIoEngine;
 
-/// Per-thread handle: the set of virtual interfaces one core owns plus the
-/// interrupt wakeup channel. Create via PacketIoEngine::attach().
+/// Per-thread handle: the set of virtual interfaces one core owns. Create
+/// via PacketIoEngine::attach().
 class IoHandle {
  public:
   int core() const { return core_; }
@@ -67,11 +67,6 @@ class IoHandle {
   /// `per_queue_cap` as a weighted admission quota so one hot port cannot
   /// starve the others out of the shrunk batch.
   u32 recv_chunk(PacketChunk& chunk, u32 batch_cap, u32 per_queue_cap);
-
-  /// Blocking variant: on dry queues re-arms RX interrupts and sleeps until
-  /// the NIC signals reception (or the engine stops). Returns 0 only on
-  /// engine shutdown.
-  u32 recv_chunk_wait(PacketChunk& chunk);
 
   /// Transmit the chunk's forwarded packets to their out_ports on this
   /// handle's TX queue. A full TX ring is retried with a bounded spin
@@ -111,7 +106,6 @@ class IoHandle {
   IoHandle(PacketIoEngine* engine, int core, u16 tx_queue, std::vector<QueueRef> queues);
 
   u32 recv_from_queue(const QueueRef& ref, PacketChunk& chunk, u32 max_take);
-  void on_interrupt();
 
   PacketIoEngine* engine_;
   int core_;
@@ -127,10 +121,6 @@ class IoHandle {
   std::vector<u8> tx_port_touched_;
   std::vector<i16> tx_touched_list_;
 
-  Mutex mu_;
-  CondVar cv_;  // interrupt wakeup channel (NIC thread -> owning worker)
-  bool irq_pending_ GUARDED_BY(mu_) = false;
-
   // mc: engine.tx_drops -- relaxed backpressure-reject counter
   ps::atomic<u64> tx_drops_{0};
 };
@@ -141,7 +131,6 @@ class PacketIoEngine {
   /// for core `i`; ports must be configured with enough TX queues.
   PacketIoEngine(const pcie::Topology& topo, std::vector<nic::NicPort*> ports,
                  EngineConfig config = {});
-  ~PacketIoEngine();
 
   PacketIoEngine(const PacketIoEngine&) = delete;
   PacketIoEngine& operator=(const PacketIoEngine&) = delete;
@@ -149,10 +138,6 @@ class PacketIoEngine {
   /// Bind a set of RX queues to a core. Each (port, queue) pair must be
   /// attached at most once — virtual interfaces are exclusive by design.
   IoHandle* attach(int core, std::vector<QueueRef> queues);
-
-  /// Unblock all recv_chunk_wait() callers; subsequent waits return 0.
-  void stop();
-  bool stopped() const { return stopping_.load(std::memory_order_acquire); }
 
   const pcie::Topology& topology() const { return topo_; }
   nic::NicPort* port(int id) const { return ports_.at(static_cast<std::size_t>(id)); }
@@ -166,12 +151,8 @@ class PacketIoEngine {
   std::vector<nic::NicPort*> ports_;
   EngineConfig config_;
   std::vector<std::unique_ptr<IoHandle>> handles_;
-  // (port, queue) -> owning handle, for interrupt dispatch.
+  // (port, queue) -> owning handle: attach() asserts each is bound once.
   std::vector<std::vector<IoHandle*>> queue_owner_;
-  // stop() may be called from any thread while workers poll stopped() in
-  // their receive loops, so this must be an atomic, not a plain bool.
-  // mc: engine.stopping -- release stop latch; pollers load acquire
-  ps::atomic<bool> stopping_{false};
 };
 
 }  // namespace ps::iengine

@@ -180,19 +180,11 @@ bool NicPort::receive_frame(std::span<const u8> frame) {
     dst.data()[frame.size() / 2] ^= 0x01;
   }
 
-  const bool was_empty = q.count() == 0;
   q.head.store(head + 1, std::memory_order_release);
 
   stats.packets.fetch_add(1, std::memory_order_relaxed);
   stats.bytes.fetch_add(frame.size(), std::memory_order_relaxed);
   charge_rx_dma(static_cast<u32>(frame.size()));
-
-  if (was_empty && irq_handler_ &&
-      q.irq_enabled.exchange(false, std::memory_order_acq_rel)) {
-    // Interrupt fires on the empty->nonempty edge and auto-disables, as the
-    // engine's interrupt/poll switching protocol expects (section 5.2).
-    irq_handler_(port_id_, queue);
-  }
   return true;
 }
 
@@ -257,26 +249,6 @@ bool NicPort::transmit(u16 queue, std::span<const u8> frame) {
   WireSink* sink = wire_sink_ != nullptr ? wire_sink_ : &default_sink_;
   sink->on_frame(port_id_, {dst.data(), frame.size()});
   return true;
-}
-
-void NicPort::enable_rx_interrupt(u16 queue) {
-  auto& q = rx_queues_[queue];
-  q.irq_enabled.store(true, std::memory_order_release);
-  if (q.count() > 0 && irq_handler_ &&
-      q.irq_enabled.exchange(false, std::memory_order_acq_rel)) {
-    // Packets raced in while the engine was deciding to sleep: deliver the
-    // interrupt immediately instead of arming (otherwise it would be lost
-    // until the next empty->nonempty edge).
-    irq_handler_(port_id_, queue);
-  }
-}
-
-void NicPort::disable_rx_interrupt(u16 queue) {
-  rx_queues_[queue].irq_enabled.store(false, std::memory_order_release);
-}
-
-bool NicPort::rx_interrupt_enabled(u16 queue) const {
-  return rx_queues_[queue].irq_enabled.load(std::memory_order_acquire);
 }
 
 QueueStats NicPort::rx_totals() const {

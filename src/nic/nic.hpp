@@ -1,11 +1,11 @@
 // Functional model of one 10 GbE port of an Intel 82599 (X520-DA2) NIC:
 // multi-queue RX/TX descriptor rings backed by huge packet buffers, RSS
-// steering, per-queue statistics, interrupt/poll switching, and DMA cost
-// charging against the machine's IOH channels.
+// steering, per-queue statistics, and DMA cost charging against the
+// machine's IOH channels. The model raises no interrupts: the io-engine
+// polls its rings.
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -149,17 +149,6 @@ class NicPort {
   /// the wire. Returns false on TX-ring backpressure.
   bool transmit(u16 queue, std::span<const u8> frame);
 
-  // --- interrupts (section 5.2, receive-livelock control) -----------------
-
-  using InterruptHandler = std::function<void(int port, u16 queue)>;
-  void set_interrupt_handler(InterruptHandler handler) { irq_handler_ = std::move(handler); }
-
-  /// Re-arm the RX interrupt of `queue`; if packets are already pending the
-  /// interrupt fires immediately (edge would otherwise be lost).
-  void enable_rx_interrupt(u16 queue);
-  void disable_rx_interrupt(u16 queue);
-  bool rx_interrupt_enabled(u16 queue) const;
-
   // --- statistics ----------------------------------------------------------
 
   QueueStats rx_queue_stats(u16 queue) const { return rx_stats_[queue]->snapshot(); }
@@ -180,8 +169,6 @@ class NicPort {
     ps::atomic<u32> head{0};  // next cell hardware fills
     // mc: nic.ring.tail -- owning-core consumer index; release return
     ps::atomic<u32> tail{0};  // next cell software consumes
-    // mc: nic.ring.irq -- interrupt mask latch (relaxed)
-    ps::atomic<bool> irq_enabled{false};
 
     u32 count() const {
       return head.load(std::memory_order_acquire) - tail.load(std::memory_order_acquire);
@@ -191,7 +178,6 @@ class NicPort {
   struct TxQueueState {
     std::unique_ptr<mem::HugePacketBuffer> buffer;
     u32 next_cell = 0;
-    u32 in_flight = 0;  // the sim drains instantly, kept for the API shape
   };
 
   void charge_rx_dma(u32 frame_bytes);
@@ -234,7 +220,6 @@ class NicPort {
   WireSink* wire_sink_ = nullptr;
   WireSink* rx_tap_ = nullptr;
   NullWire default_sink_;
-  InterruptHandler irq_handler_;
 };
 
 }  // namespace ps::nic

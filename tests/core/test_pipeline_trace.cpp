@@ -220,14 +220,17 @@ struct RouterTraceFixture {
 
 TEST(PipelineTrace, RouterSpansAreWellFormedAndMonotonic) {
   RouterTraceFixture fx;
-  // Capacity comfortably above the chunk count so no span is lost and
+  // One slot per packet: every chunk holds at least one packet, so no span
+  // is overwritten before the drain however the workers chunk the traffic
+  // (a slow build, such as TSan's, fetches a few packets per chunk), and
   // conservation over spans is exact.
-  telemetry::PipelineTracer tracer(4096);
+  constexpr u32 kPackets = 20'000;
+  telemetry::PipelineTracer tracer(kPackets);
   tracer.set_enabled(true);
 
   core::Router router(fx.testbed.engine(), fx.testbed.gpus(), fx.app, fx.router_config());
   router.set_tracer(&tracer);
-  const u64 accepted = fx.run(router, 20'000);
+  const u64 accepted = fx.run(router, kPackets);
   ASSERT_GT(accepted, 0u);
 
   std::vector<TraceSpan> spans;

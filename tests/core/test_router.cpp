@@ -304,5 +304,40 @@ TEST(Router, StopIsIdempotentAndRestartable) {
   SUCCEED();
 }
 
+TEST(Router, StartAfterStopStartsNothing) {
+  // A Router is single-use. stop() closes each node's master queue for
+  // good, so a second start() must not spawn workers that would forward
+  // without a master (CPU-only) while the supervisor reads the missing
+  // masters as stalls.
+  RouterFixture fx(/*use_gpu=*/true);
+  Router router(fx.testbed.engine(), fx.testbed.gpus(), fx.app, RouterConfig{});
+  router.start();
+  const u64 offered = 3000;
+  ASSERT_EQ(fx.traffic.offer(fx.testbed.ports(), offered), offered);
+  ASSERT_TRUE(wait_for([&] { return fx.traffic.sunk_packets() >= offered; }));
+  router.stop();
+  const WorkerStats before = router.total_stats();
+  ASSERT_EQ(before.gpu_processed, offered);
+  const std::size_t stalls = router.supervisor().stall_events().size();
+
+  router.start();
+  ASSERT_EQ(fx.traffic.offer(fx.testbed.ports(), offered), offered);
+  // Several supervisor stall windows (20 ms by default).
+  std::this_thread::sleep_for(100ms);
+
+  u64 waiting = 0;
+  for (auto* port : fx.testbed.ports()) {
+    for (u16 q = 0; q < port->config().num_rx_queues; ++q) waiting += port->rx_available(q);
+  }
+  EXPECT_EQ(waiting, offered);
+  const WorkerStats after = router.total_stats();
+  EXPECT_EQ(after.chunks, before.chunks);
+  EXPECT_EQ(after.packets_in, before.packets_in);
+  EXPECT_EQ(after.packets_out, before.packets_out);
+  EXPECT_EQ(after.cpu_processed, before.cpu_processed);
+  EXPECT_EQ(router.supervisor().stall_events().size(), stalls);
+  router.stop();  // no-op
+}
+
 }  // namespace
 }  // namespace ps::core

@@ -1,8 +1,6 @@
 // User-level packet I/O engine: batched RX into chunks, exclusive virtual
-// interfaces, round-robin fairness, TX splitting, interrupt/poll blocking.
+// interfaces, round-robin fairness, TX splitting.
 #include <gtest/gtest.h>
-
-#include <thread>
 
 #include "core/testbed.hpp"
 #include "gen/traffic.hpp"
@@ -120,33 +118,6 @@ TEST(IoEngine, InvalidOutPortCountsAsTxDrop) {
   // out_port left at -1: never classified -> also a drop.
   EXPECT_EQ(handle->send_chunk(chunk), 0u);
   EXPECT_EQ(handle->tx_drops(), 2u);
-}
-
-TEST(IoEngine, BlockingRecvWakesOnArrival) {
-  EngineFixture fx;
-  auto* handle = fx.testbed.engine().attach(0, {{0, 0}});
-
-  std::thread receiver([&] {
-    PacketChunk chunk(64);
-    EXPECT_EQ(handle->recv_chunk_wait(chunk), 1u);  // blocks, then wakes
-  });
-  // Give the receiver time to go to sleep (arm the interrupt).
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ASSERT_TRUE(fx.testbed.port(0).receive_frame(fx.traffic.next_frame()));
-  receiver.join();
-}
-
-TEST(IoEngine, StopUnblocksWaiters) {
-  EngineFixture fx;
-  auto* handle = fx.testbed.engine().attach(0, {{0, 0}});
-
-  std::thread receiver([&] {
-    PacketChunk chunk(64);
-    EXPECT_EQ(handle->recv_chunk_wait(chunk), 0u);  // returns 0 on shutdown
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  fx.testbed.engine().stop();
-  receiver.join();
 }
 
 TEST(IoEngine, RecvChargesRxCycles) {

@@ -108,24 +108,6 @@ TEST(IoEngineMore, NumaBlindRemoteDrainChargesPenalty) {
               static_cast<double>(expected_penalty), 1e6);
 }
 
-TEST(IoEngineMore, RecvAfterStopStillDrainsNonBlocking) {
-  core::Testbed testbed({.topo = pcie::Topology::single_node(), .use_gpu = false},
-                        core::RouterConfig{.use_gpu = false});
-  gen::TrafficGen traffic({.seed = 94});
-  for (auto* port : testbed.ports()) port->configure_rss(0, 1);
-  auto* handle = testbed.engine().attach(0, {{0, 0}});
-
-  ASSERT_TRUE(testbed.port(0).receive_frame(traffic.next_frame()));
-  testbed.engine().stop();
-
-  // Non-blocking recv still drains what is already in the rings (clean
-  // shutdown wants no stranded packets)...
-  PacketChunk chunk(8);
-  EXPECT_EQ(handle->recv_chunk(chunk), 1u);
-  // ...while the blocking variant returns 0 instead of sleeping forever.
-  EXPECT_EQ(handle->recv_chunk_wait(chunk), 0u);
-}
-
 TEST(IoEngineMore, ChunkCapAppliesAcrossManyQueues) {
   core::Testbed testbed({.topo = pcie::Topology::single_node(), .use_gpu = false,
                          .ring_size = 1024},

@@ -1,5 +1,5 @@
 // NIC port model: RX steering + DMA into huge buffers, ring-full drops,
-// TX to the wire, interrupt edge semantics, per-queue statistics.
+// TX to the wire, per-queue statistics.
 #include <gtest/gtest.h>
 
 #include "gen/traffic.hpp"
@@ -128,38 +128,6 @@ TEST(NicPort, BadChecksumFlaggedInDescriptor) {
   RxSlot slot;
   ASSERT_EQ(port.rx_peek(0, &slot, 1), 1u);
   EXPECT_FALSE(slot.checksum_ok);  // hardware checksum offload marks it
-}
-
-TEST(NicPort, InterruptFiresOnEmptyToNonEmptyEdge) {
-  NicPort port(0, pcie::Topology::single_node(), {});
-  int interrupts = 0;
-  port.set_interrupt_handler([&](int, u16) { ++interrupts; });
-
-  // Without arming: no interrupt.
-  ASSERT_TRUE(port.receive_frame(frame_for()));
-  EXPECT_EQ(interrupts, 0);
-  port.rx_release(0, 1);
-
-  // Armed: exactly one interrupt on the edge, then auto-disabled.
-  port.enable_rx_interrupt(0);
-  ASSERT_TRUE(port.receive_frame(frame_for()));
-  EXPECT_EQ(interrupts, 1);
-  ASSERT_TRUE(port.receive_frame(frame_for()));
-  EXPECT_EQ(interrupts, 1);  // not re-armed
-  EXPECT_FALSE(port.rx_interrupt_enabled(0));
-}
-
-TEST(NicPort, EnableWithPendingPacketsFiresImmediately) {
-  // The race section 5.2 worries about: packets arrive between the last
-  // poll and arming the interrupt.
-  NicPort port(0, pcie::Topology::single_node(), {});
-  int interrupts = 0;
-  port.set_interrupt_handler([&](int, u16) { ++interrupts; });
-
-  ASSERT_TRUE(port.receive_frame(frame_for()));
-  port.enable_rx_interrupt(0);
-  EXPECT_EQ(interrupts, 1);  // delivered synchronously, not lost
-  EXPECT_FALSE(port.rx_interrupt_enabled(0));
 }
 
 TEST(NicPort, PerQueueStatsAggregateOnDemand) {
