@@ -9,6 +9,8 @@
 // The suite's cases print no BENCH line; time the table builds, and the
 // whole FIB loads around them, with
 //   bench_micro_lookup --benchmark_filter='Build|FibLoad'
+// The builds run on every core (ps::parallel_for); BM_*Build report how
+// many threads as the `threads` counter.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -16,6 +18,7 @@
 #include <cstring>
 
 #include "bench/bench_util.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "perf/calibration.hpp"
 #include "nic/rss.hpp"
@@ -128,6 +131,7 @@ void BM_Ipv4Build(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * static_cast<i64>(rib.size()));
+  state.counters["threads"] = worker_threads();
 }
 BENCHMARK(BM_Ipv4Build)->Unit(benchmark::kMillisecond);
 
@@ -140,6 +144,7 @@ void BM_Ipv6Build(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * static_cast<i64>(rib.size()));
+  state.counters["threads"] = worker_threads();
 }
 BENCHMARK(BM_Ipv6Build)->Unit(benchmark::kMillisecond);
 

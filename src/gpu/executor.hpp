@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/atomic_shim.hpp"
+#include "common/parallel.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 #include "perf/calibration.hpp"
@@ -69,10 +70,7 @@ class SimtExecutor {
   /// `track_divergence` enables per-warp path tracking (small overhead).
   ExecStats run(u32 threads, const KernelBody& body, bool track_divergence = false);
 
-  static unsigned default_worker_count() {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 4 : std::min(hw, 8u);
-  }
+  static unsigned default_worker_count() { return worker_threads(); }
 
  private:
   struct Task {

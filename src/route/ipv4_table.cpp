@@ -5,16 +5,15 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
+#include "common/parallel.hpp"
+
 namespace ps::route {
 
-Ipv4Table::Ipv4Table()
-    : tbl24_(std::make_unique_for_overwrite<u16[]>(kTbl24Entries)),
-      depth24_(std::make_unique<u8[]>(kTbl24Entries)) {
-  std::fill_n(tbl24_.get(), kTbl24Entries, kNoRoute);
-}
+Ipv4Table::Ipv4Table() : Ipv4Table(std::span<const Ipv4Prefix>()) {}
 
 Ipv4Table::Ipv4Table(std::span<const Ipv4Prefix> prefixes)
     : tbl24_(std::make_unique_for_overwrite<u16[]>(kTbl24Entries)),
@@ -148,45 +147,77 @@ void Ipv4Table::build(std::span<const Ipv4Prefix> prefixes) {
   }
   radix_sort(sorted);
 
+  // TBL24 is swept in 64 blocks of 2^18 entries, one per /6, in parallel.
   // Keep the last of each run of equal prefixes (the sort is stable, so
-  // that is the last one given) and split at /24: the short ones sweep
-  // TBL24, the long ones their overflow chunks.
+  // that is the last one given) and split them by where they sweep: a
+  // prefix shorter than /6 covers whole blocks, one up to /24 lies in its
+  // block's TBL24 entries, a longer one in its /24's overflow chunk. The
+  // sort leaves each block's prefixes of the last two kinds contiguous,
+  // so the split only counts where each block's prefixes start and how
+  // many chunks each block needs; chunks are numbered in address order,
+  // like the /24s.
+  constexpr u32 kBlocks = 64;
+  constexpr int kBlockShift = 26;
+  constexpr u32 kBlockEntries = u32{1} << (kBlockShift - 8);
+  std::vector<u64> wide;
   std::vector<u64> shorter;
   std::vector<u64> longer;
   shorter.reserve(sorted.size());
-  std::size_t chunks = 0;
+  std::array<u32, kBlocks + 1> shorter_begin{};
+  std::array<u32, kBlocks + 1> longer_begin{};
+  std::array<u32, kBlocks + 1> chunk_begin{};
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     const u64 x = sorted[i];
     if (i + 1 < sorted.size() && (sorted[i + 1] >> kKeyShift) == (x >> kKeyShift)) continue;
-    if (packed_length(x) <= 24) {
+    const u32 block = packed_network(x) >> kBlockShift;
+    if (packed_length(x) < 32 - kBlockShift) {
+      wide.push_back(x);
+    } else if (packed_length(x) <= 24) {
       shorter.push_back(x);
+      ++shorter_begin[block + 1];
     } else {
       if (longer.empty() || packed_network(longer.back()) >> 8 != packed_network(x) >> 8) {
-        ++chunks;
+        ++chunk_begin[block + 1];
       }
       longer.push_back(x);
+      ++longer_begin[block + 1];
     }
   }
-  if (chunks > kLongFlag) throw std::length_error("too many >24-bit prefixes");
-  prefix_count_ = shorter.size() + longer.size();
-
-  sweep(tbl24_.get(), depth24_.get(), u32{1} << 24, 8, kNoRoute, 0, shorter);
-
-  // Each /24 holding a longer prefix gets a chunk, seeded with the TBL24
-  // entry it replaces.
-  tbl_long_.resize(chunks * kChunk);
-  depth_long_.resize(chunks * kChunk);
-  u32 chunk = 0;
-  for (std::size_t begin = 0; begin < longer.size(); ++chunk) {
-    const u32 idx24 = packed_network(longer[begin]) >> 8;
-    std::size_t end = begin + 1;
-    while (end < longer.size() && packed_network(longer[end]) >> 8 == idx24) ++end;
-    const std::size_t base = std::size_t{chunk} * kChunk;
-    sweep(&tbl_long_[base], &depth_long_[base], kChunk, 0, tbl24_[idx24], depth24_[idx24],
-          std::span<const u64>(longer).subspan(begin, end - begin));
-    tbl24_[idx24] = static_cast<u16>(kLongFlag | chunk);
-    begin = end;
+  for (auto* begin : {&shorter_begin, &longer_begin, &chunk_begin}) {
+    std::partial_sum(begin->begin(), begin->end(), begin->begin());
   }
+  const u32 chunks = chunk_begin[kBlocks];
+  if (chunks > kLongFlag) throw std::length_error("too many >24-bit prefixes");
+  prefix_count_ = wide.size() + shorter.size() + longer.size();
+
+  // What each block holds where none of its own prefixes covers a slot.
+  std::array<u16, kBlocks> block_next_hop;
+  std::array<u8, kBlocks> block_depth;
+  sweep(block_next_hop.data(), block_depth.data(), kBlocks, kBlockShift, kNoRoute, 0, wide);
+
+  tbl_long_.resize(std::size_t{chunks} * kChunk);
+  depth_long_.resize(std::size_t{chunks} * kChunk);
+  parallel_for(kBlocks, [&](std::size_t block) {
+    const u32 first = static_cast<u32>(block) * kBlockEntries;
+    sweep(tbl24_.get() + first, depth24_.get() + first, kBlockEntries, 8,
+          block_next_hop[block], block_depth[block],
+          std::span<const u64>(shorter).subspan(
+              shorter_begin[block], shorter_begin[block + 1] - shorter_begin[block]));
+
+    // Each /24 holding a longer prefix gets a chunk, seeded with the TBL24
+    // entry it replaces.
+    u32 chunk = chunk_begin[block];
+    for (std::size_t begin = longer_begin[block]; begin < longer_begin[block + 1]; ++chunk) {
+      const u32 idx24 = packed_network(longer[begin]) >> 8;
+      std::size_t end = begin + 1;
+      while (end < longer_begin[block + 1] && packed_network(longer[end]) >> 8 == idx24) ++end;
+      const std::size_t base = std::size_t{chunk} * kChunk;
+      sweep(&tbl_long_[base], &depth_long_[base], kChunk, 0, tbl24_[idx24], depth24_[idx24],
+            std::span<const u64>(longer).subspan(begin, end - begin));
+      tbl24_[idx24] = static_cast<u16>(kLongFlag | chunk);
+      begin = end;
+    }
+  });
 }
 
 u32 Ipv4Table::chunk_for(u32 idx24) {

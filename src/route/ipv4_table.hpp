@@ -52,13 +52,13 @@ struct ResolvedIpv4Op {
 
 class Ipv4Table {
  public:
-  /// An empty table: every address resolves to kNoRoute.
+  /// An empty table: every address resolves to kNoRoute. It is the build
+  /// of no prefixes, so its arrays are filled on every core too.
   Ipv4Table();
 
   /// The table build(prefixes) would leave, with TBL24 and its depths
   /// allocated for overwrite: the sweep is the only pass that writes them,
-  /// so a fresh table costs no fill before its build. An empty span gives
-  /// exactly the default-constructed table.
+  /// so a fresh table costs no fill before its build.
   explicit Ipv4Table(std::span<const Ipv4Prefix> prefixes);
 
   /// Copies are block copies of the 48 MiB of arrays into storage
@@ -75,8 +75,11 @@ class Ipv4Table {
   /// by (network, length), then TBL24 is swept in address order with a
   /// stack of the prefixes covering the current slot, so each entry and
   /// its depth is written once; prefixes longer than /24 then fill their
-  /// overflow chunk the same way, one /24 at a time. Used for a bulk load
-  /// and for the from-scratch oracle; steady-state churn goes through
+  /// overflow chunk the same way, one /24 at a time, chunks numbered in
+  /// address order. The sweep runs as 64 parallel_for tasks, one per /6
+  /// of TBL24 and its chunks; prefixes shorter than /6 are swept first
+  /// over the 64 blocks and give each its fill. Used for a bulk load and
+  /// for the from-scratch oracle; steady-state churn goes through
   /// apply_resolved().
   void build(std::span<const Ipv4Prefix> prefixes);
 

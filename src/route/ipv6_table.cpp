@@ -6,6 +6,8 @@
 #include <numeric>
 #include <tuple>
 
+#include "common/parallel.hpp"
+
 namespace ps::route {
 
 namespace {
@@ -115,7 +117,6 @@ void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
   };
   // start[b] counts bucket b - 1's routes, then, summed, is where b begins.
   std::vector<u32> start((std::size_t{1} << bucket_bits) + 1, 0);
-  std::array<std::size_t, 129> per_length{};
   std::vector<Route> unsorted;
   unsorted.reserve(prefixes.size());
   for (u32 order = 0; order < prefixes.size(); ++order) {
@@ -125,7 +126,6 @@ void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
     unsorted.push_back(
         {mask128(p.addr.hi64(), p.addr.lo64(), p.length), order, p.length, p.next_hop});
     ++start[bucket(unsorted.back().network) + 1];
-    ++per_length[p.length];
   }
   std::partial_sum(start.begin(), start.end(), start.begin());
   // Scattered from the converted routes in a pass of its own: scattering
@@ -141,104 +141,203 @@ void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
                        std::tie(y.network.hi, y.network.lo, y.length, y.order);
               });
   }
+  // A later duplicate wins, so a route followed by an equal one is skipped.
+  const auto replaced = [&routes](std::size_t i) {
+    return i + 1 < routes.size() && routes[i + 1].network == routes[i].network &&
+           routes[i + 1].length == routes[i].length;
+  };
 
-  // Each level's slots, in ascending key order. Every prefix appends at
-  // most one key to each level on its search path, so that count bounds
-  // the level and no level grows while the sweep writes it.
-  std::array<std::vector<Slot>, 129> levels;
-  {
-    std::array<std::size_t, 129> bound{};
-    for (int length = 1; length <= 128; ++length) {
-      for_each_search_level(length, [&](int level) { bound[level] += per_length[length]; });
-    }
-    for (int length = 1; length <= 128; ++length) levels[length].reserve(bound[length]);
-  }
-
-  // One sweep in that order writes each prefix's key at its own length
-  // and a marker at every level where its search turns toward longer
-  // prefixes. The prefixes that cover the current one, and the current
-  // one on top, form a stack (one per length at most). A marker's
-  // best-matching prefix is the deepest of them shorter than its level,
-  // or the default route, so a lookup that hits the marker can record
-  // `bmp` and go on toward longer lengths with no backtracking. A key
-  // equal to its level's last key is already there: a prefix comes before
-  // the markers that share its key, and every marker with one key resolves
-  // to the same prefix.
+  // The routes are swept in about 64 runs in parallel, cut only where the
+  // top 16 bits change. A route of length >= 16 visits only levels >= 16
+  // (the search's left spine is 64, 32, 16), so its keys keep its top 16
+  // bits and stay inside its run. Only routes shorter than /16 cover
+  // routes of later runs, and those that do cover the later run's first
+  // route, so each run starts its cover stack with them. The default
+  // route, which sorts first, answers where no cover does.
   struct Cover {
     Key128 network;
     u8 length = 0;
     NextHop bmp = kNoRoute;
   };
-  std::array<Cover, 128> stack;
-  std::size_t depth = 0;
-  const auto append = [&levels](int length, const Key128& key, NextHop bmp) {
-    std::vector<Slot>& level = levels[length];
-    if (!level.empty() && level.back().key_hi == key.hi && level.back().key_lo == key.lo) {
-      return false;
-    }
-    assert(level.empty() ||
-           std::tie(level.back().key_hi, level.back().key_lo) < std::tie(key.hi, key.lo));
-    level.push_back({key.hi, key.lo, bmp, 1});
-    return true;
+  const auto covers = [](const Cover& c, const Route& r) {
+    return c.length <= r.length && mask128(r.network.hi, r.network.lo, c.length) == c.network;
   };
+  struct Run {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::array<Cover, 15> seed;  // one per length below 16 at most
+    std::size_t seed_depth = 0;
+    // The run's level-L keys are keys[key_begin[L], key_end[L]).
+    std::array<u32, 129> key_begin{};
+    std::array<u32, 129> key_end{};
+    std::size_t prefixes = 0;
+    std::size_t markers = 0;
+  };
+  constexpr std::size_t kRuns = 64;
+  const auto top16 = [&routes](std::size_t i) { return routes[i].network.hi >> 48; };
+  std::vector<Run> runs;
+  runs.reserve(kRuns);
+  for (std::size_t k = 1, begin = 0; begin < routes.size(); ++k) {
+    std::size_t end = std::max(begin + 1, k * routes.size() / kRuns);
+    while (end < routes.size() && top16(end) == top16(end - 1)) ++end;
+    runs.push_back({.begin = begin, .end = end});
+    begin = end;
+  }
+
   default_nh_ = kNoRoute;
+  for (std::size_t i = 0; i < routes.size() && routes[i].length == 0; ++i) {
+    default_nh_ = routes[i].next_hop;
+  }
+
+  // One pass takes each run's seed and bounds each of its levels: every
+  // route appends at most one key to each level on its search path, so no
+  // level outgrows its share of `keys` while its run writes it.
+  std::array<std::array<u32, 129>, kRuns> bound{};
+  {
+    std::array<Cover, 15> shorter;
+    std::size_t depth = 0;
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      Run& run = runs[k];
+      while (depth > 0 && !covers(shorter[depth - 1], routes[run.begin])) --depth;
+      std::copy_n(shorter.begin(), depth, run.seed.begin());
+      run.seed_depth = depth;
+      std::array<u32, 129> per_length{};
+      for (std::size_t i = run.begin; i < run.end; ++i) {
+        const Route& r = routes[i];
+        ++per_length[r.length];
+        if (r.length == 0 || r.length >= 16 || replaced(i)) continue;
+        while (depth > 0 && !covers(shorter[depth - 1], r)) --depth;
+        assert(depth < shorter.size());
+        shorter[depth++] = {r.network, r.length, r.next_hop};
+      }
+      for (int length = 1; length <= 128; ++length) {
+        if (per_length[length] == 0) continue;
+        for_each_search_level(length, [&](int level) { bound[k][level] += per_length[length]; });
+      }
+    }
+  }
+  u32 total = 0;
+  for (int level = 1; level <= 128; ++level) {
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      runs[k].key_begin[level] = runs[k].key_end[level] = total;
+      total += bound[k][level];
+    }
+  }
+  std::vector<Slot, OverwriteAllocator<Slot>> keys(total);
+
+  // Each run's sweep writes each route's key at its own length and a
+  // marker at every level where its search turns toward longer prefixes,
+  // in ascending order per level. The prefixes that cover the current one,
+  // and the current one on top, form a stack (one per length at most). A
+  // marker's best-matching prefix is the deepest of them shorter than its
+  // level, or the default route, so a lookup that hits the marker can
+  // record `bmp` and go on toward longer lengths with no backtracking. A
+  // key equal to its level's last key is already there: a prefix comes
+  // before the markers that share its key, and every marker with one key
+  // resolves to the same prefix.
+  parallel_for(runs.size(), [&](std::size_t k) {
+    Run& run = runs[k];
+    std::array<Cover, 128> stack;
+    std::copy_n(run.seed.begin(), run.seed_depth, stack.begin());
+    std::size_t depth = run.seed_depth;
+    const auto append = [&run, &keys](int level, const Key128& key, NextHop bmp) {
+      u32& end = run.key_end[level];
+      if (end != run.key_begin[level]) {
+        const Slot& last = keys[end - 1];
+        if (last.key_hi == key.hi && last.key_lo == key.lo) return false;
+        assert(std::tie(last.key_hi, last.key_lo) < std::tie(key.hi, key.lo));
+      }
+      keys[end++] = {key.hi, key.lo, bmp, 1};
+      return true;
+    };
+    for (std::size_t i = run.begin; i < run.end; ++i) {
+      const Route& r = routes[i];
+      if (replaced(i)) continue;
+      ++run.prefixes;
+      if (r.length == 0) continue;  // the default route, taken above
+      // Pop the prefixes that do not cover this one; what is left does.
+      while (depth > 0 && !covers(stack[depth - 1], r)) --depth;
+      assert(depth < stack.size());
+      stack[depth++] = {r.network, r.length, r.next_hop};
+
+      for_each_search_level(r.length, [&](int level) {
+        const Key128 key = mask128(r.network.hi, r.network.lo, level);
+        if (level == r.length) {
+          [[maybe_unused]] const bool added = append(level, key, r.next_hop);
+          assert(added);
+          return;
+        }
+        std::size_t cover = depth;
+        while (cover > 0 && stack[cover - 1].length >= level) --cover;
+        if (append(level, key, cover > 0 ? stack[cover - 1].bmp : default_nh_)) ++run.markers;
+      });
+    }
+  });
+
+  // Join the runs level by level. Across a cut the keys of a level >= 16
+  // ascend strictly. Below 16 the same marker can end one run's level and
+  // start the next run's; the first copy is the one a single sweep keeps.
   prefix_count_ = 0;
   marker_count_ = 0;
-  for (std::size_t i = 0; i < routes.size(); ++i) {
-    const Route& r = routes[i];
-    if (i + 1 < routes.size() && routes[i + 1].network == r.network &&
-        routes[i + 1].length == r.length) {
-      continue;  // a later duplicate wins
-    }
-    ++prefix_count_;
-    if (r.length == 0) {
-      default_nh_ = r.next_hop;  // sorts first, before any bmp is taken
-      continue;
-    }
-    // Pop the prefixes that do not cover this one; what is left does.
-    while (depth > 0 && (stack[depth - 1].length > r.length ||
-                         mask128(r.network.hi, r.network.lo, stack[depth - 1].length) !=
-                             stack[depth - 1].network)) {
-      --depth;
-    }
-    assert(depth < stack.size());
-    stack[depth++] = {r.network, r.length, r.next_hop};
-
-    for_each_search_level(r.length, [&](int level) {
-      const Key128 key = mask128(r.network.hi, r.network.lo, level);
-      if (level == r.length) {
-        [[maybe_unused]] const bool added = append(level, key, stack[depth - 1].bmp);
-        assert(added);
-        return;
+  for (const Run& run : runs) {
+    prefix_count_ += run.prefixes;
+    marker_count_ += run.markers;
+  }
+  std::array<u32, 129> level_size{};
+  for (int level = 1; level <= 128; ++level) {
+    const Slot* last = nullptr;
+    for (Run& run : runs) {
+      u32& begin = run.key_begin[level];
+      if (begin == run.key_end[level]) continue;
+      const Slot& first = keys[begin];
+      if (last != nullptr) {
+        const auto last_key = std::tie(last->key_hi, last->key_lo);
+        const auto first_key = std::tie(first.key_hi, first.key_lo);
+        assert(level < 16 ? last_key <= first_key : last_key < first_key);
+        if (last_key == first_key) {
+          ++begin;
+          --marker_count_;
+        }
       }
-      std::size_t cover = depth;
-      while (cover > 0 && stack[cover - 1].length >= level) --cover;
-      if (append(level, key, cover > 0 ? stack[cover - 1].bmp : default_nh_)) ++marker_count_;
-    });
+      level_size[level] += run.key_end[level] - begin;
+      last = &keys[run.key_end[level] - 1];
+    }
   }
 
   // Lay out every level so the slot array is allocated once at its final
-  // size (2x headroom keeps linear-probe chains short), then place each
-  // level's keys in ascending order.
+  // size (2x headroom keeps linear-probe chains short). Then one task per
+  // level, largest first, empties the level's slots and places its keys in
+  // ascending order.
   u32 offset = 0;
+  std::array<int, 128> filled{};
+  std::size_t filled_levels = 0;
   for (int length = 1; length <= 128; ++length) {
     level_offset_[length] = offset;
     level_mask_[length] = 0;
-    if (levels[length].empty()) continue;
-    const u32 capacity = static_cast<u32>(std::bit_ceil(levels[length].size() * 2));
+    if (level_size[length] == 0) continue;
+    const u32 capacity = static_cast<u32>(std::bit_ceil(std::size_t{level_size[length]} * 2));
     level_mask_[length] = capacity - 1;
     offset += capacity;
+    filled[filled_levels++] = length;
   }
-  slots_.assign(offset, Slot{});
-  for (int length = 1; length <= 128; ++length) {
+  std::sort(filled.begin(), filled.begin() + filled_levels,
+            [this](int x, int y) { return level_mask_[x] > level_mask_[y]; });
+  slots_.clear();
+  slots_.resize(offset);
+  parallel_for(filled_levels, [&](std::size_t t) {
+    const int length = filled[t];
     const u32 mask = level_mask_[length];
     Slot* level_slots = slots_.data() + level_offset_[length];
-    for (const Slot& s : levels[length]) {
-      u32 slot = static_cast<u32>(Key128Hash{}(Key128{s.key_hi, s.key_lo})) & mask;
-      while (level_slots[slot].occupied != 0) slot = (slot + 1) & mask;
-      level_slots[slot] = s;
+    std::fill_n(level_slots, std::size_t{mask} + 1, Slot{});
+    for (const Run& run : runs) {
+      for (u32 j = run.key_begin[length]; j < run.key_end[length]; ++j) {
+        const Slot& s = keys[j];
+        u32 slot = static_cast<u32>(Key128Hash{}(Key128{s.key_hi, s.key_lo})) & mask;
+        while (level_slots[slot].occupied != 0) slot = (slot + 1) & mask;
+        level_slots[slot] = s;
+      }
     }
-  }
+  });
 }
 
 NextHop Ipv6Table::lookup_in_arrays(const Slot* slots, const u32* offsets, const u32* masks,

@@ -10,6 +10,7 @@
 #include <array>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -65,6 +66,24 @@ class Ipv6ReferenceLpm {
   std::unique_ptr<Node> root_;
 };
 
+/// std::allocator whose construct() with no value writes nothing, so a
+/// vector's resize() leaves new elements for their writer. For an
+/// aggregate of scalars such as Ipv6Table::Slot, the storage allocate()
+/// returns already holds elements to assign.
+template <typename T>
+struct OverwriteAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = OverwriteAllocator<U>;
+  };
+  template <typename U>
+  void construct(U*) noexcept {}
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    std::construct_at(p, std::forward<Args>(args)...);
+  }
+};
+
 /// The table is one open-addressing (linear probing) array per prefix
 /// length, all levels concatenated: the layout that gets copied into device
 /// memory, and the one the CPU paths walk. The GPU kernel and the CPU fast
@@ -92,7 +111,10 @@ class Ipv6Table {
   /// prefixes covering the current one. The sweep appends each key to its
   /// level in ascending order, and a marker takes its best-matching prefix
   /// from the deepest stack entry shorter than its level (else the default
-  /// route). Each level is then placed in that key order. When the same
+  /// route). Each level is then placed in that key order. The sweep runs
+  /// as about 64 parallel_for tasks, one per run of routes cut where the
+  /// top 16 bits change, and the placement as one task per level; the
+  /// table is the one a single sweep builds. When the same
   /// prefix appears twice the last next hop wins, and prefix_count()
   /// counts it once. Lengths must be <= 128 and next hops <= kNoRoute
   /// (FibManager::announce rejects anything else). A prefix whose next
@@ -148,7 +170,7 @@ class Ipv6Table {
   std::size_t marker_count() const { return marker_count_; }
 
  private:
-  std::vector<Slot> slots_;
+  std::vector<Slot, OverwriteAllocator<Slot>> slots_;  // build() writes every slot
   std::array<u32, 129> level_offset_{};  // slot index of level L's array
   std::array<u32, 129> level_mask_{};    // capacity-1 of level L (0 = empty)
   NextHop default_nh_ = kNoRoute;

@@ -42,3 +42,8 @@ void publish_untagged() {
   (void)spacer;
   ps::fence_seq_cst();  // finding: untagged fence call
 }
+
+// Site sync: docs.md's row for 'fixture.moved' names core/moved_away.hpp,
+// a file that does not tag the key (finding attributed to docs.md).
+// mc: fixture.moved
+ps::atomic<int> tagged_elsewhere{0};

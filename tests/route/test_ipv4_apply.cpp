@@ -294,6 +294,26 @@ TEST(Ipv4Apply, OnePassBuildMatchesOpByOpLoadOnEdgeCases) {
   // A /8 listed after its /24s and after a /28 under one of them.
   const std::vector<Ipv4Prefix> cover_last = {pfx(40, 1, 2, 0, 24, 1), pfx(40, 200, 0, 0, 24, 2),
                                               pfx(40, 1, 2, 16, 28, 5), pfx(40, 0, 0, 0, 8, 3)};
+  // build() sweeps TBL24 in 64 blocks, one per /6. Nested /1../5
+  // prefixes each cover several whole blocks, with a /8 under them and a
+  // /5 of its own after them.
+  const std::vector<Ipv4Prefix> wide_nested = {
+      pfx(0, 0, 0, 0, 1, 1),   pfx(64, 0, 0, 0, 2, 2),  pfx(96, 0, 0, 0, 3, 3),
+      pfx(112, 0, 0, 0, 4, 4), pfx(120, 0, 0, 0, 5, 5), pfx(121, 0, 0, 0, 8, 6),
+      pfx(128, 0, 0, 0, 5, 7)};
+  // A /6 that is the last block.
+  const std::vector<Ipv4Prefix> last_block = {pfx(252, 0, 0, 0, 6, 1)};
+  // A /24 on the last slot of block 1, with a chunk under it, and one on
+  // the first slot of block 2, under a /5 that spans blocks 0 and 1.
+  const std::vector<Ipv4Prefix> block_edge = {
+      pfx(0, 0, 0, 0, 5, 1), pfx(7, 255, 255, 0, 24, 2), pfx(7, 255, 255, 128, 25, 4),
+      pfx(8, 0, 0, 0, 24, 3)};
+  // Longer-than-/24 prefixes in blocks 2, 3 and 4, listed in descending
+  // address order: their chunks are numbered in address order all the
+  // same, across the blocks.
+  const std::vector<Ipv4Prefix> chunks_across_blocks = {
+      pfx(16, 0, 0, 0, 26, 4), pfx(12, 0, 1, 0, 25, 3), pfx(12, 0, 0, 8, 30, 2),
+      pfx(8, 0, 0, 1, 32, 1)};
 
   // No prefixes at all: the constructor's sweep alone must give exactly
   // the default-constructed table.
@@ -301,7 +321,7 @@ TEST(Ipv4Apply, OnePassBuildMatchesOpByOpLoadOnEdgeCases) {
 
   for (const auto* prefixes :
        {&nested_same_end, &siblings, &default_route, &last_address, &last_address_covered,
-        &cover_last}) {
+        &cover_last, &wide_nested, &last_block, &block_edge, &chunks_across_blocks}) {
     SCOPED_TRACE(::testing::Message() << "case with " << prefixes->size() << " prefixes, first "
                                       << prefixes->front().addr.to_string() << "/"
                                       << int{prefixes->front().length});
@@ -335,6 +355,38 @@ TEST(Ipv4Apply, OnePassBuildMatchesOpByOpLoadOnEdgeCases) {
   EXPECT_EQ(t.lookup(ip(0x28010210)), NextHop{5});
   EXPECT_EQ(t.lookup(ip(0x28010220)), NextHop{1});
   EXPECT_EQ(t.lookup(ip(0x28010300)), NextHop{3});
+  t.build(wide_nested);
+  EXPECT_EQ(t.lookup(ip(0x00000000)), NextHop{1});
+  EXPECT_EQ(t.lookup(ip(0x3FFFFFFF)), NextHop{1});
+  EXPECT_EQ(t.lookup(ip(0x40000000)), NextHop{2});
+  EXPECT_EQ(t.lookup(ip(0x60000000)), NextHop{3});
+  EXPECT_EQ(t.lookup(ip(0x70000000)), NextHop{4});
+  EXPECT_EQ(t.lookup(ip(0x78000000)), NextHop{5});
+  EXPECT_EQ(t.lookup(ip(0x79FFFFFF)), NextHop{6});
+  EXPECT_EQ(t.lookup(ip(0x7A000000)), NextHop{5});
+  EXPECT_EQ(t.lookup(ip(0x87FFFFFF)), NextHop{7});
+  EXPECT_EQ(t.lookup(ip(0x88000000)), kNoRoute);
+  t.build(last_block);
+  EXPECT_EQ(t.lookup(ip(0xFBFFFFFF)), kNoRoute);
+  EXPECT_EQ(t.lookup(ip(0xFC000000)), NextHop{1});
+  EXPECT_EQ(t.lookup(ip(0xFFFFFFFF)), NextHop{1});
+  t.build(block_edge);
+  EXPECT_EQ(t.lookup(ip(0x07FFFEFF)), NextHop{1});
+  EXPECT_EQ(t.lookup(ip(0x07FFFF00)), NextHop{2});
+  EXPECT_EQ(t.lookup(ip(0x07FFFFFF)), NextHop{4});
+  EXPECT_EQ(t.lookup(ip(0x08000000)), NextHop{3});
+  EXPECT_EQ(t.lookup(ip(0x08000100)), kNoRoute);
+  t.build(chunks_across_blocks);
+  ASSERT_EQ(t.overflow_chunks(), 4u);
+  EXPECT_EQ(t.tbl24()[0x080000], Ipv4Table::kLongFlag | 0);
+  EXPECT_EQ(t.tbl24()[0x0C0000], Ipv4Table::kLongFlag | 1);
+  EXPECT_EQ(t.tbl24()[0x0C0001], Ipv4Table::kLongFlag | 2);
+  EXPECT_EQ(t.tbl24()[0x100000], Ipv4Table::kLongFlag | 3);
+  EXPECT_EQ(t.lookup(ip(0x08000001)), NextHop{1});
+  EXPECT_EQ(t.lookup(ip(0x0C00000B)), NextHop{2});
+  EXPECT_EQ(t.lookup(ip(0x0C00010C)), NextHop{3});
+  EXPECT_EQ(t.lookup(ip(0x1000003F)), NextHop{4});
+  EXPECT_EQ(t.lookup(ip(0x10000040)), kNoRoute);
 }
 
 TEST(Ipv4Apply, CopiesReproduceABuiltTableByteForByte) {

@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "common/rng.hpp"
+#include "layout_hash.hpp"
 #include "route/ipv6_table.hpp"
 #include "route/rib_gen.hpp"
 
@@ -67,26 +68,6 @@ Ipv6Table build_checked(std::span<const Ipv6Prefix> rib) {
   }
   EXPECT_EQ(table.marker_count(), count_markers(rib));
   return table;
-}
-
-/// 64-bit FNV-1a over the table's layout, field by field (no padding).
-u64 layout_hash(const Ipv6Table& table) {
-  u64 hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&hash](u64 value, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      hash ^= (value >> (8 * i)) & 0xff;
-      hash *= 0x100000001b3ULL;
-    }
-  };
-  for (const auto& slot : table.slots()) {
-    mix(slot.key_hi, 8);
-    mix(slot.key_lo, 8);
-    mix(slot.bmp, 2);
-    mix(slot.occupied, 2);
-  }
-  for (const u32 offset : table.level_offsets()) mix(offset, 4);
-  for (const u32 mask : table.level_masks()) mix(mask, 4);
-  return hash;
 }
 
 TEST(Mask128, Boundaries) {
@@ -294,6 +275,53 @@ TEST(Ipv6Table, DefaultRouteGivenTwice) {
   EXPECT_EQ(table.lookup(net::Ipv6Addr::from_words(0x3000'0000'0000'0000ULL,
                                                    0xffff'0000'0000'0000ULL)),
             7);
+}
+
+TEST(Ipv6Table, SweepRunsJoinAtSixteenBitCuts) {
+  // build() sweeps about 64 runs of the sorted routes, cut only where the
+  // top 16 bits change. Here 128 /16s hold three to five routes each, so
+  // a run is about two /16s. Two thirds of the /16s begin with a /12 or a
+  // /16 given twice, and those end with a /64 given twice, so duplicates
+  // sit on both sides of most cuts. The /4, the /6 and the two /8s are
+  // shorter than /16 and cover routes in many runs. The /12s of
+  // neighbouring /16s share a marker at level 8, which several runs
+  // reach; under 20::/8 that key is the /8's own slot. The other third of
+  // the /16s hold no route that covers their /24 or /48, so those routes'
+  // markers take their best-matching prefix from a shorter route, most
+  // often one in an earlier run.
+  std::vector<Ipv6Prefix> rib = {
+      {net::Ipv6Addr{}, 0, 1},
+      p6(0x2000'0000'0000'0000ULL, 4, 2),
+      p6(0x2000'0000'0000'0000ULL, 6, 3),
+      p6(0x2000'0000'0000'0000ULL, 8, 4),
+      p6(0x2600'0000'0000'0000ULL, 8, kNoRoute),
+  };
+  for (u64 g = 0; g < 128; ++g) {
+    const u64 top = (0x2000 + (g << 4)) << 48;
+    const auto nh = [g](u64 k) { return static_cast<NextHop>(10 + (g * 7 + k) % 40); };
+    switch (g % 3) {
+      case 0:
+        rib.push_back(p6(top, 12, nh(0)));
+        rib.push_back(p6(top, 12, nh(1)));
+        break;
+      case 1:
+        rib.push_back(p6(top, 16, nh(2)));
+        rib.push_back(p6(top, 16, nh(3)));
+        break;
+      default:
+        rib.push_back(p6(top | 0x0000'cd00'0000'0000ULL, 24, nh(4)));
+        break;
+    }
+    rib.push_back(p6(top | 0x0000'abcd'0012'0000ULL, 48, nh(5)));
+    rib.push_back(p6(top | 0x0000'abcd'0012'3456ULL, 64, nh(6)));
+    if (g % 3 != 2) rib.push_back(p6(top | 0x0000'abcd'0012'3456ULL, 64, nh(7)));
+  }
+  const Ipv6Table table = build_checked(rib);
+  EXPECT_EQ(table.default_route(), 1);
+  EXPECT_EQ(table.prefix_count(), 5u + 3u * 128u);
+  // 21a0::/16 (g = 26) holds no /12 or /16, and 21::/8 is not in the RIB,
+  // so outside its /24 and /48 the /6 from run 0 answers.
+  EXPECT_EQ(table.lookup(net::Ipv6Addr::from_words(0x21a0'abcd'0013'0000ULL, 0)), 3);
 }
 
 /// Prefixes of every length 0..128 with random low words: a default

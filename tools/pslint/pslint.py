@@ -74,7 +74,9 @@ or the preceding line):
                       spellings (ps::atomic<T>* / ps::atomic<T>&) are
                       exempt — the owning declaration carries the
                       contract. (3) the tag keys and the doc table rows
-                      (backticked `mc:<key>` entries) must match two-way.
+                      (backticked `mc:<key>` entries) must match two-way,
+                      and every file a row's Site column names must tag
+                      the row's key.
 
 Output: `path:line: [rule] message`, one per finding, sorted; exit 1 if
 anything fired. `--expect FILE` compares the findings against a golden
@@ -98,8 +100,9 @@ RULES = {
                       "per-packet read path",
     "handoff-mutex": "lock acquisition on the lock-free worker<->master "
                      "hand-off path",
-    "atomics-audit": "bare std::atomic, untagged ps::atomic site, or "
-                     "mc: contract keys out of sync with the doc table",
+    "atomics-audit": "bare std::atomic, untagged ps::atomic site, "
+                     "mc: contract keys out of sync with the doc table, "
+                     "or a row whose Site does not tag its key",
 }
 
 HOT_DIRS = ("iengine", "nic", "gpu", "core")
@@ -579,7 +582,7 @@ def _mc_tag_near(sf, lineno):
 
 def check_atomics_audit(sf, findings, code_keys):
     """Per-file half of the rule; `code_keys` accumulates
-    key -> (rel, line) of the first tagged site for the doc sync pass."""
+    key -> [(rel, line)] of its tagged sites for the doc sync pass."""
     if sf.rel == ATOMIC_EXEMPT_FILE or sf.rel.startswith(ATOMIC_EXEMPT_DIR):
         return
     code = sf.code_nostr
@@ -620,31 +623,63 @@ def check_atomics_audit(sf, findings, code_keys):
                 "%s without a `// mc: <key>` contract tag naming its "
                 "DESIGN.md row" % what))
         else:
-            code_keys.setdefault(key, (sf.rel, lineno))
+            code_keys.setdefault(key, []).append((sf.rel, lineno))
 
 
-def _doc_mc_keys(path):
-    """`mc:<key>` entries from a doc's tables: key -> first line. Only
-    table rows count, same contract as registry-sync."""
-    keys = {}
+SITE_PATH_RE = re.compile(r"`([\w./-]+\.(?:hpp|cpp|h|cc))`")
+
+
+def _doc_mc_rows(path):
+    """`mc:<key>` entries from a doc's tables as (key, line, sites): for
+    the key in a row's first cell, the backticked file paths in the row's
+    Site column; None for a key cited elsewhere in the row or in a table
+    with no Site column. Only table rows count, same contract as
+    registry-sync; a table's first row is its header."""
+    rows = []
     with open(path, "r", encoding="utf-8", errors="replace") as f:
         lines = f.read().split("\n")
+    site_col = None
+    in_table = False
     for i, line in enumerate(lines, 1):
         if not line.lstrip().startswith("|"):
+            in_table = False
             continue
-        for tok in re.findall(r"`mc:\s*([^`]+)`", line):
-            tok = tok.strip()
-            if MC_KEY_RE.match(tok):
-                keys.setdefault(tok, i)
-    return keys
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not in_table:
+            in_table = True
+            heads = [c.lower() for c in cells]
+            site_col = heads.index("site") if "site" in heads else None
+        sites = None
+        if site_col is not None and site_col < len(cells):
+            sites = SITE_PATH_RE.findall(cells[site_col])
+        for col, cell in enumerate(cells):
+            for tok in re.findall(r"`mc:\s*([^`]+)`", cell):
+                tok = tok.strip()
+                if MC_KEY_RE.match(tok):
+                    rows.append((tok, i, sites if col == 0 else None))
+    return rows
 
 
 def check_atomics_doc_sync(code_keys, docs, findings):
+    """Keys must match two-way, and every file a row's Site column names
+    (relative to src/) must tag the row's key."""
     doc_keys = {}
     for doc in docs:
-        for key, line in _doc_mc_keys(doc).items():
+        for key, line, sites in _doc_mc_rows(doc):
             doc_keys.setdefault(key, (doc, line))
-    for key, (rel, line) in sorted(code_keys.items()):
+            if sites is None or key not in code_keys:
+                continue
+            tagged = sorted({rel for rel, _ in code_keys[key]})
+            for site in sites or [None]:
+                if site in tagged:
+                    continue
+                findings.append(Finding(
+                    os.path.basename(doc), line, "atomics-audit",
+                    "mc: key '%s' row's Site %s, but the key is tagged in %s"
+                    % (key, "names no file" if site is None
+                       else "names %s" % site, ", ".join(tagged))))
+    for key, sites in sorted(code_keys.items()):
+        rel, line = sites[0]
         if key not in doc_keys:
             findings.append(Finding(
                 rel, line, "atomics-audit",
