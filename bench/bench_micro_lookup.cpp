@@ -9,8 +9,9 @@
 // The suite's cases print no BENCH line; time the table builds, and the
 // whole FIB loads around them, with
 //   bench_micro_lookup --benchmark_filter='Build|FibLoad'
-// The builds run on every core (ps::parallel_for); BM_*Build report how
-// many threads as the `threads` counter.
+// The builds and the RIB's bulk insert run on every core
+// (ps::parallel_for); BM_*Build and BM_*FibLoad report how many threads as
+// the `threads` counter.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -166,6 +167,7 @@ void fib_load(benchmark::State& state, const Rib& rib) {
     state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * static_cast<i64>(rib.size()));
+  state.counters["threads"] = worker_threads();
 }
 
 void BM_Ipv4FibLoad(benchmark::State& state) {

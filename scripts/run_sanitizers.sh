@@ -30,11 +30,13 @@
 # traffic: a data race in MetricsRegistry::snapshot() fails that suite
 # under TSan.
 #
-# The FIB layer — the one-pass DIR-24-8 build's radix counts and stack
-# sweep, both table builds' tasks on every core and the parallel_for that
-# runs them (ParallelFor), the flat RIB's wrap-around erase, the commit
-# paths, the settling of queued announces while another thread
-# announces, and the updater — is collected under the "fib" shorthand.
+# The FIB layer — the one-pass DIR-24-8 build's radix sorts and stack
+# sweep, both table builds' tasks on every core, the parallel_for that
+# runs them (ParallelFor) and the scatter that groups their inputs
+# (CountingScatter), the flat RIB's bulk insert on every core and its
+# wrap-around erase, the commit paths, the settling of queued announces
+# while another thread announces, and the updater — is collected under
+# the "fib" shorthand.
 # CI runs it under ASan+UBSan, TSan and standalone UBSan before the full
 # suites, so a mistake there fails fast:
 #   scripts/run_sanitizers.sh "address thread undefined" fib
@@ -49,7 +51,7 @@ set -e
 cd "$(dirname "$0")/.."
 
 telemetry_filter='TelemetryConservation|MetricsRegistry|PipelineTrace|BenchLine|Exporter|StageBreakdown|GpuCpuDifferential'
-fib_filter='Fib|Ipv4Apply|Ipv4Table|Ipv4Edge|Ipv6Table|Ipv6Edge|ParallelFor'
+fib_filter='Fib|Ipv4Apply|Ipv4Table|Ipv4Edge|Ipv6Table|Ipv6Edge|ParallelFor|CountingScatter'
 liveness_filter='Router|IoEngine|NicPort|Supervisor|OverloadControl|Admission|LinkFlap|Chaos|Testbed'
 
 presets="${1:-address thread undefined}"

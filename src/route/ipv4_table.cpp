@@ -5,10 +5,10 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
+#include "common/overwrite_allocator.hpp"
 #include "common/parallel.hpp"
 
 namespace ps::route {
@@ -60,26 +60,28 @@ u32 packed_network(u64 x) { return static_cast<u32>(x >> kNetworkShift); }
 u8 packed_length(u64 x) { return static_cast<u8>((x >> kKeyShift) & 0x3f); }
 u16 packed_next_hop(u64 x) { return static_cast<u16>(x); }
 
-/// Stable LSD radix sort on the (network, length) bits: three 13-bit
-/// digits cover bits 16..54. Stable, so equal prefixes keep input order.
-void radix_sort(std::vector<u64>& keys) {
-  constexpr int kDigitBits = 13;
-  constexpr int kPasses = 3;
+/// Stable LSD radix sort of [first, last) on bits 16..47, the (network,
+/// length) bits below a /6, in four 8-bit digits; `spare` holds as many
+/// keys. Stable, so equal prefixes keep input order.
+void radix_sort(u64* first, u64* last, u64* spare) {
+  constexpr int kDigitBits = 8;
+  constexpr int kPasses = 4;
   constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
   const auto digit = [](u64 x, int pass) {
     return static_cast<std::size_t>(x >> (kKeyShift + pass * kDigitBits)) & (kBuckets - 1);
   };
-  std::vector<u32> offsets(kBuckets * kPasses, 0);
-  for (const u64 x : keys) {
-    for (int pass = 0; pass < kPasses; ++pass) ++offsets[pass * kBuckets + digit(x, pass)];
+  std::array<std::array<u32, kBuckets>, kPasses> offsets{};
+  for (const u64* x = first; x != last; ++x) {
+    for (int pass = 0; pass < kPasses; ++pass) ++offsets[pass][digit(*x, pass)];
   }
-  std::vector<u64> out(keys.size());
+  const std::ptrdiff_t n = last - first;
+  u64* from = first;
+  u64* to = spare;
   for (int pass = 0; pass < kPasses; ++pass) {
-    u32* offset = &offsets[pass * kBuckets];
     u32 sum = 0;
-    for (std::size_t b = 0; b < kBuckets; ++b) sum += std::exchange(offset[b], sum);
-    for (const u64 x : keys) out[offset[digit(x, pass)]++] = x;
-    keys.swap(out);
+    for (u32& offset : offsets[pass]) sum += std::exchange(offset, sum);
+    for (const u64* x = from; x != from + n; ++x) to[offsets[pass][digit(*x, pass)]++] = *x;
+    std::swap(from, to);
   }
 }
 
@@ -138,84 +140,105 @@ void sweep(u16* entries, u8* depths, u32 count, int shift, u16 fill_next_hop, u8
 }  // namespace
 
 void Ipv4Table::build(std::span<const Ipv4Prefix> prefixes) {
-  std::vector<u64> sorted;
-  sorted.reserve(prefixes.size());
-  for (const auto& p : prefixes) {
-    assert(p.length <= 32);
-    assert(p.next_hop < kLongFlag);
-    sorted.push_back(pack(p));
-  }
-  radix_sort(sorted);
-
   // TBL24 is swept in 64 blocks of 2^18 entries, one per /6, in parallel.
-  // Keep the last of each run of equal prefixes (the sort is stable, so
-  // that is the last one given) and split them by where they sweep: a
-  // prefix shorter than /6 covers whole blocks, one up to /24 lies in its
-  // block's TBL24 entries, a longer one in its /24's overflow chunk. The
-  // sort leaves each block's prefixes of the last two kinds contiguous,
-  // so the split only counts where each block's prefixes start and how
-  // many chunks each block needs; chunks are numbered in address order,
-  // like the /24s.
+  // The prefixes are packed and grouped by block, in input order. Each
+  // block then sorts its own, keeps the last of each run of equal ones
+  // (the sort is stable, so that is the last one given) and splits them
+  // by where they sweep: a prefix shorter than /6 covers whole blocks
+  // (its network is a block's first address, so that block holds it, and
+  // holds one per length at most), one up to /24 lies in its block's
+  // TBL24 entries, a longer one in its /24's overflow chunk. Chunks are
+  // numbered in address order, like the /24s.
   constexpr u32 kBlocks = 64;
   constexpr int kBlockShift = 26;
   constexpr u32 kBlockEntries = u32{1} << (kBlockShift - 8);
-  std::vector<u64> wide;
-  std::vector<u64> shorter;
-  std::vector<u64> longer;
-  shorter.reserve(sorted.size());
-  std::array<u32, kBlocks + 1> shorter_begin{};
-  std::array<u32, kBlocks + 1> longer_begin{};
-  std::array<u32, kBlocks + 1> chunk_begin{};
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const u64 x = sorted[i];
-    if (i + 1 < sorted.size() && (sorted[i + 1] >> kKeyShift) == (x >> kKeyShift)) continue;
-    const u32 block = packed_network(x) >> kBlockShift;
-    if (packed_length(x) < 32 - kBlockShift) {
-      wide.push_back(x);
-    } else if (packed_length(x) <= 24) {
-      shorter.push_back(x);
-      ++shorter_begin[block + 1];
-    } else {
-      if (longer.empty() || packed_network(longer.back()) >> 8 != packed_network(x) >> 8) {
-        ++chunk_begin[block + 1];
+  constexpr std::size_t kWideLengths = 32 - kBlockShift;
+  std::vector<u64, OverwriteAllocator<u64>> packed(prefixes.size());
+  std::vector<u64, OverwriteAllocator<u64>> spare(prefixes.size());
+  const std::vector<std::size_t> block_begin = counting_scatter(
+      prefixes.size(), kBlocks,
+      [prefixes](std::size_t i) { return prefixes[i].network() >> kBlockShift; },
+      [prefixes, &packed](std::size_t i, std::size_t pos) {
+        const Ipv4Prefix& p = prefixes[i];
+        assert(p.length <= 32);
+        assert(p.next_hop < kLongFlag);
+        packed[pos] = pack(p);
+      });
+
+  // A block's /6-/24 prefixes end up at the front of its stretch of
+  // `packed`, its longer ones at the front of its stretch of `spare`.
+  struct Block {
+    std::size_t shorter = 0;
+    std::size_t longer = 0;
+    u32 chunks = 0;
+    std::array<u64, kWideLengths> wide{};
+    std::size_t wide_count = 0;
+  };
+  std::array<Block, kBlocks> blocks;
+  parallel_for(kBlocks, [&](std::size_t b) {
+    u64* const first = packed.data() + block_begin[b];
+    u64* const last = packed.data() + block_begin[b + 1];
+    u64* const longer = spare.data() + block_begin[b];
+    radix_sort(first, last, longer);
+    Block& block = blocks[b];
+    for (const u64* x = first; x != last; ++x) {
+      if (x + 1 != last && (x[1] >> kKeyShift) == (*x >> kKeyShift)) continue;
+      if (packed_length(*x) < kWideLengths) {
+        block.wide[block.wide_count++] = *x;
+      } else if (packed_length(*x) <= 24) {
+        first[block.shorter++] = *x;
+      } else {
+        if (block.longer == 0 ||
+            packed_network(longer[block.longer - 1]) >> 8 != packed_network(*x) >> 8) {
+          ++block.chunks;
+        }
+        longer[block.longer++] = *x;
       }
-      longer.push_back(x);
-      ++longer_begin[block + 1];
     }
-  }
-  for (auto* begin : {&shorter_begin, &longer_begin, &chunk_begin}) {
-    std::partial_sum(begin->begin(), begin->end(), begin->begin());
+  });
+
+  std::array<u64, (std::size_t{1} << kWideLengths) - 1> wide;
+  std::size_t wide_count = 0;
+  std::array<u32, kBlocks + 1> chunk_begin{};
+  std::size_t prefix_count = 0;
+  for (u32 b = 0; b < kBlocks; ++b) {
+    const Block& block = blocks[b];
+    std::copy_n(block.wide.begin(), block.wide_count, wide.begin() + wide_count);
+    wide_count += block.wide_count;
+    chunk_begin[b + 1] = chunk_begin[b] + block.chunks;
+    prefix_count += block.wide_count + block.shorter + block.longer;
   }
   const u32 chunks = chunk_begin[kBlocks];
   if (chunks > kLongFlag) throw std::length_error("too many >24-bit prefixes");
-  prefix_count_ = wide.size() + shorter.size() + longer.size();
+  prefix_count_ = prefix_count;
 
   // What each block holds where none of its own prefixes covers a slot.
   std::array<u16, kBlocks> block_next_hop;
   std::array<u8, kBlocks> block_depth;
-  sweep(block_next_hop.data(), block_depth.data(), kBlocks, kBlockShift, kNoRoute, 0, wide);
+  sweep(block_next_hop.data(), block_depth.data(), kBlocks, kBlockShift, kNoRoute, 0,
+        std::span<const u64>(wide.data(), wide_count));
 
   tbl_long_.resize(std::size_t{chunks} * kChunk);
   depth_long_.resize(std::size_t{chunks} * kChunk);
-  parallel_for(kBlocks, [&](std::size_t block) {
-    const u32 first = static_cast<u32>(block) * kBlockEntries;
-    sweep(tbl24_.get() + first, depth24_.get() + first, kBlockEntries, 8,
-          block_next_hop[block], block_depth[block],
-          std::span<const u64>(shorter).subspan(
-              shorter_begin[block], shorter_begin[block + 1] - shorter_begin[block]));
+  parallel_for(kBlocks, [&](std::size_t b) {
+    const Block& block = blocks[b];
+    const u32 first = static_cast<u32>(b) * kBlockEntries;
+    sweep(tbl24_.get() + first, depth24_.get() + first, kBlockEntries, 8, block_next_hop[b],
+          block_depth[b], std::span<const u64>(packed.data() + block_begin[b], block.shorter));
 
     // Each /24 holding a longer prefix gets a chunk, seeded with the TBL24
     // entry it replaces.
-    u32 chunk = chunk_begin[block];
-    for (std::size_t begin = longer_begin[block]; begin < longer_begin[block + 1]; ++chunk) {
-      const u32 idx24 = packed_network(longer[begin]) >> 8;
-      std::size_t end = begin + 1;
-      while (end < longer_begin[block + 1] && packed_network(longer[end]) >> 8 == idx24) ++end;
+    const std::span<const u64> longer(spare.data() + block_begin[b], block.longer);
+    u32 chunk = chunk_begin[b];
+    for (std::size_t from = 0; from < longer.size(); ++chunk) {
+      const u32 idx24 = packed_network(longer[from]) >> 8;
+      std::size_t to = from + 1;
+      while (to < longer.size() && packed_network(longer[to]) >> 8 == idx24) ++to;
       const std::size_t base = std::size_t{chunk} * kChunk;
       sweep(&tbl_long_[base], &depth_long_[base], kChunk, 0, tbl24_[idx24], depth24_[idx24],
-            std::span<const u64>(longer).subspan(begin, end - begin));
+            longer.subspan(from, to - from));
       tbl24_[idx24] = static_cast<u16>(kLongFlag | chunk);
-      begin = end;
+      from = to;
     }
   });
 }

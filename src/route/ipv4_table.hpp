@@ -76,8 +76,9 @@ class Ipv4Table {
   /// stack of the prefixes covering the current slot, so each entry and
   /// its depth is written once; prefixes longer than /24 then fill their
   /// overflow chunk the same way, one /24 at a time, chunks numbered in
-  /// address order. The sweep runs as 64 parallel_for tasks, one per /6
-  /// of TBL24 and its chunks; prefixes shorter than /6 are swept first
+  /// address order. The prefixes are grouped by /6 (ps::counting_scatter),
+  /// and both the sort and the sweep run as 64 parallel_for tasks, one per
+  /// /6 of TBL24 and its chunks; prefixes shorter than /6 are swept first
   /// over the 64 blocks and give each its fill. Used for a bulk load and
   /// for the from-scratch oracle; steady-state churn goes through
   /// apply_resolved().

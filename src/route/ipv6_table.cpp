@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <numeric>
 #include <tuple>
 
 #include "common/parallel.hpp"
@@ -101,10 +100,10 @@ NextHop Ipv6ReferenceLpm::lookup(const net::Ipv6Addr& addr) const {
 void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
   // The prefixes sorted by (network, length): a prefix comes before every
   // prefix it covers, and `order` puts the last of equal prefixes last.
-  // One counting pass places each route in the bucket of its network's top
-  // bits, about one bucket per route (at most 2^16), and each bucket is
-  // then sorted on its own: a few routes each for a spread-out RIB, one
-  // std::sort for a RIB that crowds into one bucket.
+  // The routes are converted and grouped by their network's top bits,
+  // about one bucket per route (at most 2^16), and 64 tasks then sort the
+  // buckets, each bucket on its own: a few routes each for a spread-out
+  // RIB, one std::sort for a RIB that crowds into one bucket.
   struct Route {
     Key128 network;
     u32 order = 0;
@@ -112,35 +111,33 @@ void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
     NextHop next_hop = kNoRoute;
   };
   const int bucket_bits = std::min(16, static_cast<int>(std::bit_width(prefixes.size() | 1)));
-  const auto bucket = [bucket_bits](const Key128& network) {
-    return static_cast<std::size_t>(network.hi >> (64 - bucket_bits));
-  };
-  // start[b] counts bucket b - 1's routes, then, summed, is where b begins.
-  std::vector<u32> start((std::size_t{1} << bucket_bits) + 1, 0);
-  std::vector<Route> unsorted;
-  unsorted.reserve(prefixes.size());
-  for (u32 order = 0; order < prefixes.size(); ++order) {
-    const Ipv6Prefix& p = prefixes[order];
-    assert(p.length <= 128);
-    assert(p.next_hop <= kNoRoute);
-    unsorted.push_back(
-        {mask128(p.addr.hi64(), p.addr.lo64(), p.length), order, p.length, p.next_hop});
-    ++start[bucket(unsorted.back().network) + 1];
-  }
-  std::partial_sum(start.begin(), start.end(), start.begin());
-  // Scattered from the converted routes in a pass of its own: scattering
-  // each route as it was converted took 26-38 ms at paper scale; this
-  // pass takes 4-5 ms.
-  std::vector<Route> routes(unsorted.size());
-  std::vector<u32> next(start.begin(), start.end() - 1);
-  for (const Route& r : unsorted) routes[next[bucket(r.network)]++] = r;
-  for (std::size_t b = 0; b + 1 < start.size(); ++b) {
-    std::sort(routes.begin() + start[b], routes.begin() + start[b + 1],
-              [](const Route& x, const Route& y) {
-                return std::tie(x.network.hi, x.network.lo, x.length, x.order) <
-                       std::tie(y.network.hi, y.network.lo, y.length, y.order);
-              });
-  }
+  std::vector<Route, OverwriteAllocator<Route>> routes(prefixes.size());
+  const std::vector<std::size_t> start = counting_scatter(
+      prefixes.size(), std::size_t{1} << bucket_bits,
+      [prefixes, bucket_bits](std::size_t i) {
+        const Ipv6Prefix& p = prefixes[i];
+        return static_cast<std::size_t>(mask_top_bits(p.addr.hi64(), p.length) >>
+                                        (64 - bucket_bits));
+      },
+      [prefixes, &routes](std::size_t i, std::size_t pos) {
+        const Ipv6Prefix& p = prefixes[i];
+        assert(p.length <= 128);
+        assert(p.next_hop <= kNoRoute);
+        routes[pos] = {mask128(p.addr.hi64(), p.addr.lo64(), p.length), static_cast<u32>(i),
+                       p.length, p.next_hop};
+      });
+  constexpr std::size_t kSortTasks = 64;
+  const std::size_t buckets = start.size() - 1;
+  const std::size_t sort_tasks = std::min(kSortTasks, buckets);
+  parallel_for(sort_tasks, [&](std::size_t t) {
+    for (std::size_t b = t * buckets / sort_tasks; b < (t + 1) * buckets / sort_tasks; ++b) {
+      std::sort(routes.begin() + start[b], routes.begin() + start[b + 1],
+                [](const Route& x, const Route& y) {
+                  return std::tie(x.network.hi, x.network.lo, x.length, x.order) <
+                         std::tie(y.network.hi, y.network.lo, y.length, y.order);
+                });
+    }
+  });
   // A later duplicate wins, so a route followed by an equal one is skipped.
   const auto replaced = [&routes](std::size_t i) {
     return i + 1 < routes.size() && routes[i + 1].network == routes[i].network &&

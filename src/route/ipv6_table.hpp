@@ -10,9 +10,9 @@
 #include <array>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
+#include "common/overwrite_allocator.hpp"
 #include "common/types.hpp"
 #include "net/addr.hpp"
 #include "route/ipv4_table.hpp"  // NextHop / kNoRoute
@@ -66,24 +66,6 @@ class Ipv6ReferenceLpm {
   std::unique_ptr<Node> root_;
 };
 
-/// std::allocator whose construct() with no value writes nothing, so a
-/// vector's resize() leaves new elements for their writer. For an
-/// aggregate of scalars such as Ipv6Table::Slot, the storage allocate()
-/// returns already holds elements to assign.
-template <typename T>
-struct OverwriteAllocator : std::allocator<T> {
-  template <typename U>
-  struct rebind {
-    using other = OverwriteAllocator<U>;
-  };
-  template <typename U>
-  void construct(U*) noexcept {}
-  template <typename U, typename... Args>
-  void construct(U* p, Args&&... args) {
-    std::construct_at(p, std::forward<Args>(args)...);
-  }
-};
-
 /// The table is one open-addressing (linear probing) array per prefix
 /// length, all levels concatenated: the layout that gets copied into device
 /// memory, and the one the CPU paths walk. The GPU kernel and the CPU fast
@@ -111,12 +93,13 @@ class Ipv6Table {
   /// prefixes covering the current one. The sweep appends each key to its
   /// level in ascending order, and a marker takes its best-matching prefix
   /// from the deepest stack entry shorter than its level (else the default
-  /// route). Each level is then placed in that key order. The sweep runs
-  /// as about 64 parallel_for tasks, one per run of routes cut where the
-  /// top 16 bits change, and the placement as one task per level; the
-  /// table is the one a single sweep builds. When the same
-  /// prefix appears twice the last next hop wins, and prefix_count()
-  /// counts it once. Lengths must be <= 128 and next hops <= kNoRoute
+  /// route). Each level is then placed in that key order. The sort runs
+  /// as 64 parallel_for tasks over buckets of the top 16 bits
+  /// (ps::counting_scatter groups the routes), the sweep as about 64, one
+  /// per run of routes cut where the top 16 bits change, and the placement
+  /// as one task per level; the table is the one a single sweep builds.
+  /// When the same prefix appears twice the last next hop wins, and
+  /// prefix_count() counts it once. Lengths must be <= 128 and next hops <= kNoRoute
   /// (FibManager::announce rejects anything else). A prefix whose next
   /// hop is kNoRoute blackholes its range, as in Ipv4Table: lookups under
   /// it answer kNoRoute unless a longer prefix matches.

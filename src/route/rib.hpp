@@ -1,21 +1,26 @@
 // The control plane's route set (RIB): one open-addressing array of
 // prefixes with linear probing, keyed by a prefix's exact (network,
 // length). No heap node per route; an insert probes once; listing every
-// route is a linear scan of the array. A bulk load reserves its final size
-// once and prefetches home slots ahead of its inserts (FibManager settles
-// queued announces that way), so it neither doubles the array nor waits
-// on each slot's cache miss in turn.
+// route is a linear scan of the array. A bulk load (insert_all, which
+// FibManager settles queued announces with) sizes the array once and
+// inserts on every core: the array is cut into parts by home slot, and
+// each part takes its routes in order on one thread.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cstddef>
 #include <functional>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/overwrite_allocator.hpp"
+#include "common/parallel.hpp"
 #include "common/types.hpp"
 
 namespace ps::route {
@@ -46,6 +51,10 @@ class Rib {
   static constexpr u8 kFree = 0xff;
   static_assert(Prefix::kMaxLength < kFree);
 
+  /// The slot array and a listing: storage that resize() leaves for its
+  /// writer.
+  using Routes = std::vector<Prefix, OverwriteAllocator<Prefix>>;
+
   /// `capacity` is the initial slot count, a power of two.
   explicit Rib(std::size_t capacity = 16) : slots_(capacity, free_slot()) {
     assert(std::has_single_bit(capacity));
@@ -66,6 +75,99 @@ class Rib {
     slots_[i] = prefix;
     ++size_;
     return true;
+  }
+
+  /// insert_or_assign(op.prefix) for each op in order, storing what it
+  /// returns in op.is_new, with the array sized once for the whole batch.
+  /// A batch of fewer than kPartOps ops is exactly that loop. A larger one
+  /// runs on every core: the array is cut into up to kMaxParts equal parts,
+  /// the ops are grouped by the part of their home slot, keeping op order,
+  /// and each part inserts its ops in order on one thread, probing only
+  /// inside the part. An op whose probe runs off its part's end is
+  /// inserted afterwards, in op order, on the calling thread. All ops on
+  /// one key share a home slot, so every is_new is what one-by-one inserts
+  /// give. When the array grows, the parts also fill the new array, and
+  /// the routes it held go in ahead of the batch. Every buffer is allocated
+  /// before the first slot is written, so a bad_alloc leaves the RIB as it
+  /// was.
+  template <typename Op>
+  void insert_all(std::span<Op> ops) {
+    const std::size_t parts = std::min(kMaxParts, std::bit_floor(ops.size() / kPartOps));
+    if (parts == 0) {
+      reserve(size_ + ops.size());
+      for (Op& op : ops) op.is_new = insert_or_assign(op.prefix);
+      return;
+    }
+    const std::size_t capacity =
+        std::max(slots_.size(), std::bit_ceil((size_ + ops.size()) * 2));
+    const bool grow = capacity > slots_.size();
+    // Items [0, held.size()) are the routes a grown array takes over; the
+    // ops follow them.
+    const Routes held = grow ? routes() : Routes();
+    Routes fresh;
+    if (grow) fresh.resize(capacity);
+    Routes& target = grow ? fresh : slots_;
+    const auto prefix_of = [&](std::size_t i) -> const Prefix& {
+      return i < held.size() ? held[i] : ops[i - held.size()].prefix;
+    };
+    const auto report = [&](std::size_t i, bool is_new) {
+      if (i >= held.size()) ops[i - held.size()].is_new = is_new;
+    };
+    const auto home_slot = [capacity](const Key& key) { return Hash{}(key) & (capacity - 1); };
+    const int part_bits = std::countr_zero(capacity / parts);
+    // Each route with its item number, grouped by part, so that a part
+    // reads its routes in one sweep.
+    struct Item {
+      Prefix prefix;
+      std::size_t index = 0;
+    };
+    std::vector<Item, OverwriteAllocator<Item>> items(held.size() + ops.size());
+    const std::vector<std::size_t> part_begin = counting_scatter(
+        items.size(), parts,
+        [&](std::size_t i) { return home_slot(KeyFn{}(prefix_of(i))) >> part_bits; },
+        [&](std::size_t i, std::size_t pos) { items[pos] = {prefix_of(i), i}; });
+
+    // A part moves the items that run off its end to the front of its own
+    // stretch of `items`.
+    std::array<std::size_t, kMaxParts> added{};
+    std::array<std::size_t, kMaxParts> spilled{};
+    parallel_for(parts, [&](std::size_t part) {
+      const std::size_t first = part << part_bits;
+      const std::size_t last = first + (std::size_t{1} << part_bits);
+      if (grow) std::fill(target.begin() + first, target.begin() + last, free_slot());
+      Item* const begin = items.data() + part_begin[part];
+      Item* spill = begin;
+      for (const Item* item = begin; item != items.data() + part_begin[part + 1]; ++item) {
+        const Key key = KeyFn{}(item->prefix);
+        std::size_t s = home_slot(key);
+        while (s != last && target[s].length != kFree && !(KeyFn{}(target[s]) == key)) ++s;
+        if (s == last) {
+          *spill++ = *item;
+          continue;
+        }
+        const bool is_new = target[s].length == kFree;
+        target[s] = item->prefix;
+        added[part] += is_new;
+        report(item->index, is_new);
+      }
+      spilled[part] = static_cast<std::size_t>(spill - begin);
+    });
+    if (grow) {
+      slots_.swap(fresh);
+      size_ = 0;
+    }
+    std::size_t spills = 0;
+    for (std::size_t part = 0; part < parts; ++part) {
+      size_ += added[part];
+      for (std::size_t k = 0; k < spilled[part]; ++k) {
+        items[spills++] = items[part_begin[part] + k];
+      }
+    }
+    std::sort(items.begin(), items.begin() + static_cast<std::ptrdiff_t>(spills),
+              [](const Item& x, const Item& y) { return x.index < y.index; });
+    for (std::size_t k = 0; k < spills; ++k) {
+      report(items[k].index, insert_or_assign(items[k].prefix));
+    }
   }
 
   /// The route with `prefix`'s key, or nullptr. Invalidated by the next
@@ -107,21 +209,25 @@ class Rib {
     if (routes * 2 > slots_.size()) rehash(std::bit_ceil(routes * 2));
   }
 
-  /// Start loading the cache line of `prefix`'s home slot, for an insert a
-  /// few prefixes later. A hint only: a rehash in between wastes it.
-  void prefetch(const Prefix& prefix) const {
-    __builtin_prefetch(&slots_[home(KeyFn{}(prefix))], 1);
-  }
-
   /// Every route, in slot order.
-  std::vector<Prefix> routes() const {
-    std::vector<Prefix> out;
-    out.reserve(size_);
+  Routes routes() const {
+    // Every slot is copied, and the cursor moves on only past a route: a
+    // branch per slot would mispredict often at a RIB's load. The entry
+    // after the last route takes the free slots that follow it.
+    Routes out;
+    out.resize(size_ + 1);
+    std::size_t k = 0;
     for (const Prefix& p : slots_) {
-      if (p.length != kFree) out.push_back(p);
+      out[k] = p;
+      k += p.length != kFree;
     }
+    out.pop_back();
     return out;
   }
+
+  /// insert_all's smallest part, in ops, and its most parts.
+  static constexpr std::size_t kPartOps = 4096;
+  static constexpr std::size_t kMaxParts = 64;
 
  private:
   static constexpr std::size_t kAbsent = ~std::size_t{0};
@@ -143,8 +249,7 @@ class Rib {
   }
 
   void rehash(std::size_t capacity) {
-    std::vector<Prefix> old =
-        std::exchange(slots_, std::vector<Prefix>(capacity, free_slot()));
+    Routes old = std::exchange(slots_, Routes(capacity, free_slot()));
     for (const Prefix& p : old) {
       if (p.length == kFree) continue;
       std::size_t i = home(KeyFn{}(p));
@@ -153,7 +258,7 @@ class Rib {
     }
   }
 
-  std::vector<Prefix> slots_;
+  Routes slots_;
   std::size_t size_ = 0;
 };
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -439,6 +440,107 @@ TEST(FibRib, ReserveBelowTheCurrentSizeDoesNothing) {
     EXPECT_EQ(rib.capacity(), capacity) << "n=" << n;
   }
   expect_holds(rib, routes);
+}
+
+/// RibHash, except that one key in eight goes to one of the eight slots
+/// below a multiple of 2^13. Every part boundary of a bulk insert is such
+/// a multiple, and so is the array's end, so runs of those keys cross
+/// parts and wrap around the array.
+struct CrowdingHash {
+  std::size_t operator()(u64 key) const {
+    const std::size_t h = RibHash{}(key);
+    return h % 8 == 0 ? (h | 0x1fff) - (h >> 61) : h;
+  }
+};
+
+/// An announce as FibManager queues it, as far as the RIB sees it.
+struct Announce {
+  Ipv4Prefix prefix;
+  bool is_new = false;
+};
+
+/// Bulk-inserts `n` announces drawn with repeats from one pool of
+/// prefixes into a RIB holding `held` routes from the same pool, and
+/// checks every op's is_new, the size and every pool key against
+/// insert_or_assign one op at a time; then erases a sample from both and
+/// checks again. `reserve_first` sizes the RIB for the batch beforehand,
+/// so that the bulk insert keeps its array instead of growing it.
+template <typename Hash>
+void expect_bulk_matches_one_by_one(std::size_t held, std::size_t n, bool reserve_first) {
+  SCOPED_TRACE(::testing::Message() << "held=" << held << " n=" << n
+                                    << " reserve_first=" << reserve_first);
+  Rng rng(n * 31 + held);
+  std::vector<Ipv4Prefix> pool((held + n) * 3 / 4 + 1);
+  for (auto& p : pool) {
+    p = pfx(rng.next_u32(), static_cast<u8>(8 + rng.next_below(25)), 0);
+  }
+  const auto draw = [&] {
+    Ipv4Prefix p = pool[rng.next_below(pool.size())];
+    p.next_hop = static_cast<NextHop>(rng.next_below(kNoRoute));
+    return p;
+  };
+  Rib<Ipv4Prefix, Ipv4PrefixKey, Hash> bulk;
+  Rib<Ipv4Prefix, Ipv4PrefixKey, Hash> one;
+  for (std::size_t i = 0; i < held; ++i) {
+    const Ipv4Prefix p = draw();
+    ASSERT_EQ(bulk.insert_or_assign(p), one.insert_or_assign(p));
+  }
+  if (reserve_first) bulk.reserve(bulk.size() + n);
+  std::vector<Announce> ops(n);
+  for (auto& op : ops) op.prefix = draw();
+  bulk.insert_all(std::span<Announce>(ops));
+  std::size_t wrong = 0;
+  for (const auto& op : ops) wrong += op.is_new != one.insert_or_assign(op.prefix);
+  EXPECT_EQ(wrong, 0u);
+  ASSERT_EQ(bulk.size(), one.size());
+  EXPECT_EQ(bulk.routes().size(), one.size());
+
+  const auto expect_same_routes = [&] {
+    for (const auto& p : pool) {
+      const Ipv4Prefix* got = bulk.find(p);
+      const Ipv4Prefix* want = one.find(p);
+      ASSERT_EQ(got == nullptr, want == nullptr) << p.addr.to_string() << "/" << int{p.length};
+      if (want != nullptr) {
+        ASSERT_EQ(got->next_hop, want->next_hop);
+      }
+    }
+  };
+  expect_same_routes();
+  for (std::size_t i = 0; i < pool.size(); i += 5) {
+    ASSERT_EQ(bulk.erase(pool[i]).has_value(), one.erase(pool[i]).has_value());
+  }
+  EXPECT_EQ(bulk.size(), one.size());
+  expect_same_routes();
+}
+
+TEST(FibRib, BulkInsertEqualsOneByOneInserts) {
+  constexpr std::size_t kPart = Rib<Ipv4Prefix, Ipv4PrefixKey>::kPartOps;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{100}, kPart - 1, kPart, 2 * kPart + 13,
+                              std::size_t{70'000}, std::size_t{300'000}}) {
+    for (const std::size_t held : {std::size_t{0}, std::size_t{5'000}}) {
+      expect_bulk_matches_one_by_one<RibHash>(held, n, false);
+      expect_bulk_matches_one_by_one<RibHash>(held, n, true);
+    }
+  }
+}
+
+TEST(FibRib, BulkInsertWithCrowdedHomeSlotsEqualsOneByOneInserts) {
+  // Runs of crowded keys reach past their part's end and past the
+  // array's last slot, so those inserts wait for the calling thread.
+  constexpr std::size_t kPart = Rib<Ipv4Prefix, Ipv4PrefixKey>::kPartOps;
+  for (const std::size_t n : {kPart, 5 * kPart, std::size_t{70'000}, std::size_t{300'000}}) {
+    for (const std::size_t held : {std::size_t{0}, std::size_t{5'000}}) {
+      expect_bulk_matches_one_by_one<CrowdingHash>(held, n, false);
+      expect_bulk_matches_one_by_one<CrowdingHash>(held, n, true);
+    }
+  }
+  // Eight home slots for every key: one run that wraps, all of it in the
+  // last part and past it.
+  struct LastSlots {
+    std::size_t operator()(u64 key) const { return ~std::size_t{0} - RibHash{}(key) % 8; }
+  };
+  expect_bulk_matches_one_by_one<LastSlots>(0, kPart, false);
+  expect_bulk_matches_one_by_one<LastSlots>(100, kPart + 100, true);
 }
 
 }  // namespace

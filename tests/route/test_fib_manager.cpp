@@ -277,6 +277,47 @@ std::vector<Ipv4Prefix> short_routes(std::size_t count, u64 seed) {
   return routes;
 }
 
+TEST(FibManager, BulkLoadLargerThanOnePartThenWithdrawFindsTheParent) {
+  // Batches of more than one part of the RIB's bulk insert, so their
+  // settles run on every core, each with repeated announces. A withdraw
+  // settles the batch queued ahead of it and then resolves its parent
+  // against the RIB: the parent's last announce in that batch.
+  constexpr std::size_t kPart = Rib<Ipv4Prefix, Ipv4PrefixKey>::kPartOps;
+  Ipv4Fib fib;
+  OracleRib oracle;
+  const auto announce = [&](u32 network, u8 length, u32 next_hop) {
+    const Ipv4Prefix prefix{net::Ipv4Addr{network}, length, static_cast<NextHop>(next_hop)};
+    ASSERT_TRUE(fib.announce(prefix));
+    oracle[Ipv4PrefixKey{}(prefix)] = prefix;
+  };
+  // 10.0.0.0/8, its 64 /16s and their 16,384 /24s; then every /16 again
+  // and one /24 in seven again.
+  announce(0x0a000000, 8, 1);
+  for (u32 b = 0; b < 64; ++b) {
+    announce(0x0a000000 | b << 16, 16, 2);
+    for (u32 c = 0; c < 256; ++c) announce(0x0a000000 | b << 16 | c << 8, 24, 3 + c % 5);
+  }
+  for (u32 b = 0; b < 64; ++b) announce(0x0a000000 | b << 16, 16, 10 + b % 7);
+  for (u32 c = 0; c < 64 * 256; c += 7) announce(0x0a000000 | c << 8, 24, 20);
+  ASSERT_GT(fib.pending_updates(), 4 * kPart);
+  fib.commit();
+  expect_published_build(fib, oracle);
+
+  // Onto the table that now holds routes: one /24 in three and 5,000 new
+  // /24s, 10.5.0.0/16 twice, then a withdraw under that /16.
+  announce(0x0a050000, 16, 30);
+  for (u32 c = 0; c < 64 * 256; c += 3) announce(0x0a000000 | c << 8, 24, 31);
+  for (u32 c = 0; c < 5'000; ++c) announce(0x0b000000 | c << 8, 24, 32 + c % 3);
+  announce(0x0a050000, 16, 40);
+  ASSERT_GT(fib.pending_updates(), 2 * kPart);
+  const Ipv4Prefix child{net::Ipv4Addr(10, 5, 9, 0), 24, 0};
+  ASSERT_TRUE(fib.withdraw(child));
+  oracle.erase(Ipv4PrefixKey{}(child));
+  fib.commit();
+  EXPECT_EQ(fib.snapshot()->lookup(net::Ipv4Addr(10, 5, 9, 1)), 40);
+  expect_published_build(fib, oracle);
+}
+
 TEST(FibManager, RollbackWithAnnouncesQueuedBehindRetriesIntoTheBuild) {
   // A rolled-back batch goes back to the head of the queue already
   // settled; what was queued behind it has not settled. The retry must

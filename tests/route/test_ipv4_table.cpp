@@ -167,6 +167,74 @@ TEST(Ipv4Table, ProbeCountDistributionOnRealisticRib) {
   EXPECT_LT(avg, 1.2);
 }
 
+/// Lookups of `table` agree with the linear reference over `rib` at the
+/// first, last and a random address of every 101st prefix, and at random
+/// addresses inside `[lowest, lowest + span]`.
+void expect_matches_reference(const Ipv4Table& table, const std::vector<Ipv4Prefix>& rib,
+                              u32 lowest, u32 span) {
+  Ipv4ReferenceLpm reference;
+  reference.build(rib);
+  Rng rng(rib.size());
+  std::vector<u32> probes;
+  for (std::size_t i = 0; i < rib.size(); i += 101) {
+    const auto host_bits = static_cast<u32>((u64{1} << (32 - rib[i].length)) - 1);
+    probes.insert(probes.end(), {rib[i].network(), rib[i].network() | host_bits,
+                                 rib[i].network() | (rng.next_u32() & host_bits)});
+  }
+  for (int i = 0; i < 1000; ++i) {
+    probes.push_back(lowest + static_cast<u32>(rng.next_below(u64{span} + 1)));
+  }
+  for (const u32 a : probes) {
+    ASSERT_EQ(table.lookup(net::Ipv4Addr(a)), reference.lookup(net::Ipv4Addr(a)))
+        << net::Ipv4Addr(a).to_string();
+  }
+}
+
+TEST(Ipv4Table, DuplicatesAcrossInputSliceCutsKeepTheLastGiven) {
+  // 60,000 prefixes are grouped in up to one slice per worker thread. A
+  // /3, a /20 and a /28 come back every 997 prefixes with a new next hop,
+  // so each has copies on both sides of every slice cut; the last wins.
+  // The other prefixes lie in 128.0.0.0/1, away from them.
+  Rng rng(8);
+  std::vector<Ipv4Prefix> rib;
+  NextHop last = 0;
+  for (u32 i = 0; i < 60'000; ++i) {
+    if (i % 997 == 0) {
+      last = static_cast<NextHop>(i / 997 + 1);
+      rib.push_back({net::Ipv4Addr(0x60000000), 3, last});
+      rib.push_back({net::Ipv4Addr(0x0a141000), 20, static_cast<NextHop>(last + 100)});
+      rib.push_back({net::Ipv4Addr(0x0a141230), 28, static_cast<NextHop>(last + 200)});
+    }
+    rib.push_back({net::Ipv4Addr(rng.next_u32() | 0x80000000),
+                   static_cast<u8>(8 + rng.next_below(25)),
+                   static_cast<NextHop>(rng.next_below(1000))});
+  }
+  const Ipv4Table table(rib);
+  EXPECT_EQ(table.lookup(net::Ipv4Addr(0x0a141231)), last + 200);
+  Ipv4ReferenceLpm reference;
+  reference.build(rib);
+  EXPECT_EQ(reference.lookup(net::Ipv4Addr(0x0a141231)), last + 200);
+  expect_matches_reference(table, rib, 0, ~u32{0});
+}
+
+TEST(Ipv4Table, RibCrowdedIntoOneBlockMatchesReference) {
+  // Every prefix but a default route lies in 40.0.0.0/6, one of the 64
+  // blocks the build sorts and sweeps in parallel, so that block's task
+  // sorts all of them; lengths run from /6 to /32, with repeats.
+  Rng rng(6);
+  std::vector<Ipv4Prefix> rib = {{net::Ipv4Addr(0), 0, 7}};
+  for (u32 i = 0; i < 30'000; ++i) {
+    const u32 addr = 0x28000000 | (rng.next_u32() >> 6);
+    const auto length = static_cast<u8>(6 + rng.next_below(27));
+    rib.push_back({net::Ipv4Addr(addr), length, static_cast<NextHop>(rng.next_below(1000))});
+    if (i % 100 == 0) rib.push_back({net::Ipv4Addr(addr), length, 1000});
+  }
+  const Ipv4Table table(rib);
+  expect_matches_reference(table, rib, 0x28000000, 0x03ffffff);
+  EXPECT_EQ(table.lookup(net::Ipv4Addr(0x2c000000)), 7);
+  EXPECT_EQ(table.lookup(net::Ipv4Addr(0x27ffffff)), 7);
+}
+
 TEST(Ipv4Table, PaperScaleTableBuilds) {
   // The 282,797-prefix RIB (section 6.2.1). The layout is pinned, so a
   // change to which chunk a /24 gets or what an entry holds shows here

@@ -419,6 +419,55 @@ TEST_P(Ipv6TablePropertyTest, UnsortedInputBuildsTheSortedTable) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Ipv6TablePropertyTest, ::testing::Values(101, 102, 103, 104));
 
+TEST(Ipv6Table, DuplicatesAcrossInputSliceCutsKeepTheLastGiven) {
+  // 50,000 routes are converted and grouped in up to one slice per worker
+  // thread. A /12, a /48 and a /100 come back every 997 routes with a new
+  // next hop, so each has copies on both sides of every slice cut; the
+  // last wins. The other routes lie in 8000::/1, away from them.
+  Rng rng(12);
+  std::vector<Ipv6Prefix> rib;
+  NextHop last = 0;
+  for (u32 i = 0; i < 50'000; ++i) {
+    if (i % 997 == 0) {
+      last = static_cast<NextHop>(i / 997 + 1);
+      rib.push_back({net::Ipv6Addr::from_words(0x2a00000000000000ULL, 0), 12, last});
+      rib.push_back({net::Ipv6Addr::from_words(0x2a0b12345678ULL << 16, 0), 48,
+                     static_cast<NextHop>(last + 100)});
+      rib.push_back({net::Ipv6Addr::from_words(0x2a0b123456789abcULL, 0x1234567800000000ULL), 100,
+                     static_cast<NextHop>(last + 200)});
+    }
+    const u64 hi = rng.next_u64() | u64{1} << 63;
+    rib.push_back({net::Ipv6Addr::from_words(hi, rng.next_u64()),
+                   static_cast<u8>(16 + rng.next_below(113)),
+                   static_cast<NextHop>(rng.next_below(1000))});
+  }
+  const Ipv6Table table(rib);
+  EXPECT_EQ(table.lookup(net::Ipv6Addr::from_words(0x2a0b123456789abcULL, 0x1234567801234567ULL)),
+            last + 200);
+  EXPECT_EQ(table.lookup(net::Ipv6Addr::from_words(0x2a0b123456780000ULL, 1)), last + 100);
+  EXPECT_EQ(table.lookup(net::Ipv6Addr::from_words(0x2a0f000000000000ULL, 1)), last);
+  expect_matches_reference(rib, 13);
+}
+
+TEST(Ipv6Table, RibCrowdedIntoOneTopBucketMatchesReference) {
+  // Every route but a /8 and a /15 lies in 2001::/16, one bucket of the
+  // build's grouping by the top 16 bits, so one sort task sorts them all.
+  Rng rng(16);
+  std::vector<Ipv6Prefix> rib = {{net::Ipv6Addr::from_words(0x2000000000000000ULL, 0), 8, 7},
+                                 {net::Ipv6Addr::from_words(0x2000000000000000ULL, 0), 15, 8}};
+  for (u32 i = 0; i < 30'000; ++i) {
+    const u64 hi = 0x2001000000000000ULL | (rng.next_u64() >> 16);
+    const auto length = static_cast<u8>(16 + rng.next_below(113));
+    const auto next_hop = static_cast<NextHop>(rng.next_below(1000));
+    rib.push_back({net::Ipv6Addr::from_words(hi, rng.next_u64()), length, next_hop});
+    if (i % 100 == 0) rib.push_back({rib.back().addr, length, 1000});
+  }
+  expect_matches_reference(rib, 17);
+  const Ipv6Table table(rib);
+  EXPECT_EQ(table.lookup(net::Ipv6Addr::from_words(0x2002000000000000ULL, 0)), 7);
+  EXPECT_EQ(table.lookup(net::Ipv6Addr::from_words(0x2000ffffffffffffULL, 0)), 8);
+}
+
 TEST(Ipv6Table, PaperScaleTableBuilds) {
   // The paper's 200,000-prefix configuration (section 6.2.2).
   const auto rib = generate_ipv6_rib(kPaperIpv6PrefixCount, 8, 2010);
