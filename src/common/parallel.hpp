@@ -29,9 +29,11 @@ inline unsigned worker_threads() {
 /// threads, the calling thread among them, and returns when every task
 /// has run. Indices are claimed in ascending order, so list the largest
 /// tasks first. Starting and joining the threads orders the tasks' writes
-/// before the return. A task that throws stops its thread; once all the
-/// threads have joined, the first exception is rethrown to the caller,
-/// and an index no thread reached has not run.
+/// before the return. A helper thread that fails to start is left out:
+/// the threads that did start, the calling thread among them, run every
+/// task. A task that throws stops its thread; once all the threads have
+/// joined, the first exception is rethrown to the caller, and an index no
+/// thread reached has not run.
 template <typename Task>
 void parallel_for(std::size_t n, const Task& task) {
   // mc: parallel.next_task -- relaxed ticket; each index is claimed once
@@ -48,8 +50,12 @@ void parallel_for(std::size_t n, const Task& task) {
   {
     const std::size_t threads = std::min<std::size_t>(n, worker_threads());
     std::vector<std::jthread> helpers;
-    helpers.reserve(threads);
-    for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(drain);
+    try {
+      helpers.reserve(threads);
+      for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(drain);
+    } catch (...) {
+      // No more threads for now; the ones running take the rest.
+    }
     drain();
   }
   if (failure) std::rethrow_exception(failure);

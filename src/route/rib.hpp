@@ -2,9 +2,10 @@
 // prefixes with linear probing, keyed by a prefix's exact (network,
 // length). No heap node per route; an insert probes once; listing every
 // route is a linear scan of the array. A bulk load (insert_all, which
-// FibManager settles queued announces with) sizes the array once and
-// inserts on every core: the array is cut into parts by home slot, and
-// each part takes its routes in order on one thread.
+// FibManager settles queued announces with) sizes the array once, and
+// when it grows the array it inserts on every core: the new array is cut
+// into parts by home slot, and each part takes its routes in order on one
+// thread.
 #pragma once
 
 #include <algorithm>
@@ -79,34 +80,32 @@ class Rib {
 
   /// insert_or_assign(op.prefix) for each op in order, storing what it
   /// returns in op.is_new, with the array sized once for the whole batch.
-  /// A batch of fewer than kPartOps ops is exactly that loop. A larger one
-  /// runs on every core: the array is cut into up to kMaxParts equal parts,
-  /// the ops are grouped by the part of their home slot, keeping op order,
-  /// and each part inserts its ops in order on one thread, probing only
-  /// inside the part. An op whose probe runs off its part's end is
-  /// inserted afterwards, in op order, on the calling thread. All ops on
-  /// one key share a home slot, so every is_new is what one-by-one inserts
-  /// give. When the array grows, the parts also fill the new array, and
-  /// the routes it held go in ahead of the batch. Every buffer is allocated
-  /// before the first slot is written, so a bad_alloc leaves the RIB as it
-  /// was.
+  /// A batch that grows the array and makes at least two parts of
+  /// kPartOps ops runs on every core; any other batch is exactly that
+  /// loop. The new array is cut into up to kMaxParts equal parts, the
+  /// routes held and then the ops are grouped by the part of their home
+  /// slot, keeping their order, and each part fills its slots and inserts
+  /// its routes in order on one thread, probing only inside the part. The
+  /// new array then replaces the old, and the routes whose probe ran off
+  /// their part's end are inserted into it on the calling thread, part by
+  /// part, each part's in order. All ops on one key share a home slot, so
+  /// every is_new is what one-by-one inserts give. Every buffer is
+  /// allocated before the first slot is written, and the old array stays
+  /// in place until the parts are done, so a bad_alloc leaves the RIB as
+  /// it was.
   template <typename Op>
   void insert_all(std::span<Op> ops) {
     const std::size_t parts = std::min(kMaxParts, std::bit_floor(ops.size() / kPartOps));
-    if (parts == 0) {
+    const std::size_t capacity = std::bit_ceil((size_ + ops.size()) * 2);
+    if (parts < 2 || capacity <= slots_.size()) {
       reserve(size_ + ops.size());
       for (Op& op : ops) op.is_new = insert_or_assign(op.prefix);
       return;
     }
-    const std::size_t capacity =
-        std::max(slots_.size(), std::bit_ceil((size_ + ops.size()) * 2));
-    const bool grow = capacity > slots_.size();
-    // Items [0, held.size()) are the routes a grown array takes over; the
+    // Items [0, held.size()) are the routes the new array takes over; the
     // ops follow them.
-    const Routes held = grow ? routes() : Routes();
-    Routes fresh;
-    if (grow) fresh.resize(capacity);
-    Routes& target = grow ? fresh : slots_;
+    const Routes held = routes();
+    Routes fresh(capacity);
     const auto prefix_of = [&](std::size_t i) -> const Prefix& {
       return i < held.size() ? held[i] : ops[i - held.size()].prefix;
     };
@@ -134,39 +133,33 @@ class Rib {
     parallel_for(parts, [&](std::size_t part) {
       const std::size_t first = part << part_bits;
       const std::size_t last = first + (std::size_t{1} << part_bits);
-      if (grow) std::fill(target.begin() + first, target.begin() + last, free_slot());
+      std::fill(fresh.begin() + first, fresh.begin() + last, free_slot());
       Item* const begin = items.data() + part_begin[part];
       Item* spill = begin;
       for (const Item* item = begin; item != items.data() + part_begin[part + 1]; ++item) {
         const Key key = KeyFn{}(item->prefix);
         std::size_t s = home_slot(key);
-        while (s != last && target[s].length != kFree && !(KeyFn{}(target[s]) == key)) ++s;
+        while (s != last && fresh[s].length != kFree && !(KeyFn{}(fresh[s]) == key)) ++s;
         if (s == last) {
           *spill++ = *item;
           continue;
         }
-        const bool is_new = target[s].length == kFree;
-        target[s] = item->prefix;
+        const bool is_new = fresh[s].length == kFree;
+        fresh[s] = item->prefix;
         added[part] += is_new;
         report(item->index, is_new);
       }
       spilled[part] = static_cast<std::size_t>(spill - begin);
     });
-    if (grow) {
-      slots_.swap(fresh);
-      size_ = 0;
-    }
-    std::size_t spills = 0;
+    slots_.swap(fresh);
+    size_ = 0;
+    // Part by part, each part's in order: the routes of one key share a
+    // part, so this is their order in the batch.
     for (std::size_t part = 0; part < parts; ++part) {
       size_ += added[part];
-      for (std::size_t k = 0; k < spilled[part]; ++k) {
-        items[spills++] = items[part_begin[part] + k];
+      for (std::size_t k = part_begin[part]; k < part_begin[part] + spilled[part]; ++k) {
+        report(items[k].index, insert_or_assign(items[k].prefix));
       }
-    }
-    std::sort(items.begin(), items.begin() + static_cast<std::ptrdiff_t>(spills),
-              [](const Item& x, const Item& y) { return x.index < y.index; });
-    for (std::size_t k = 0; k < spills; ++k) {
-      report(items[k].index, insert_or_assign(items[k].prefix));
     }
   }
 
@@ -225,7 +218,8 @@ class Rib {
     return out;
   }
 
-  /// insert_all's smallest part, in ops, and its most parts.
+  /// insert_all's smallest part, in ops, and its most parts. A batch on
+  /// every core has at least two parts.
   static constexpr std::size_t kPartOps = 4096;
   static constexpr std::size_t kMaxParts = 64;
 

@@ -464,7 +464,8 @@ struct Announce {
 /// checks every op's is_new, the size and every pool key against
 /// insert_or_assign one op at a time; then erases a sample from both and
 /// checks again. `reserve_first` sizes the RIB for the batch beforehand,
-/// so that the bulk insert keeps its array instead of growing it.
+/// so that the bulk insert keeps its array and inserts in order on the
+/// calling thread.
 template <typename Hash>
 void expect_bulk_matches_one_by_one(std::size_t held, std::size_t n, bool reserve_first) {
   SCOPED_TRACE(::testing::Message() << "held=" << held << " n=" << n
@@ -515,7 +516,9 @@ void expect_bulk_matches_one_by_one(std::size_t held, std::size_t n, bool reserv
 
 TEST(FibRib, BulkInsertEqualsOneByOneInserts) {
   constexpr std::size_t kPart = Rib<Ipv4Prefix, Ipv4PrefixKey>::kPartOps;
-  for (const std::size_t n : {std::size_t{1}, std::size_t{100}, kPart - 1, kPart, 2 * kPart + 13,
+  // Below two parts a batch is the in-order loop; from two parts on, a
+  // batch that grows the array runs on every core.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{100}, 2 * kPart - 1, 2 * kPart,
                               std::size_t{70'000}, std::size_t{300'000}}) {
     for (const std::size_t held : {std::size_t{0}, std::size_t{5'000}}) {
       expect_bulk_matches_one_by_one<RibHash>(held, n, false);
@@ -528,7 +531,7 @@ TEST(FibRib, BulkInsertWithCrowdedHomeSlotsEqualsOneByOneInserts) {
   // Runs of crowded keys reach past their part's end and past the
   // array's last slot, so those inserts wait for the calling thread.
   constexpr std::size_t kPart = Rib<Ipv4Prefix, Ipv4PrefixKey>::kPartOps;
-  for (const std::size_t n : {kPart, 5 * kPart, std::size_t{70'000}, std::size_t{300'000}}) {
+  for (const std::size_t n : {2 * kPart, 5 * kPart, std::size_t{70'000}, std::size_t{300'000}}) {
     for (const std::size_t held : {std::size_t{0}, std::size_t{5'000}}) {
       expect_bulk_matches_one_by_one<CrowdingHash>(held, n, false);
       expect_bulk_matches_one_by_one<CrowdingHash>(held, n, true);
@@ -539,8 +542,8 @@ TEST(FibRib, BulkInsertWithCrowdedHomeSlotsEqualsOneByOneInserts) {
   struct LastSlots {
     std::size_t operator()(u64 key) const { return ~std::size_t{0} - RibHash{}(key) % 8; }
   };
-  expect_bulk_matches_one_by_one<LastSlots>(0, kPart, false);
-  expect_bulk_matches_one_by_one<LastSlots>(100, kPart + 100, true);
+  expect_bulk_matches_one_by_one<LastSlots>(0, 2 * kPart, false);
+  expect_bulk_matches_one_by_one<LastSlots>(100, 2 * kPart + 100, false);
 }
 
 }  // namespace

@@ -278,8 +278,9 @@ std::vector<Ipv4Prefix> short_routes(std::size_t count, u64 seed) {
 }
 
 TEST(FibManager, BulkLoadLargerThanOnePartThenWithdrawFindsTheParent) {
-  // Batches of more than one part of the RIB's bulk insert, so their
-  // settles run on every core, each with repeated announces. A withdraw
+  // Batches of more than two parts of the RIB's bulk insert that grow the
+  // RIB, so their settles run on every core, each with repeated announces;
+  // the second one onto the routes the RIB holds. A withdraw
   // settles the batch queued ahead of it and then resolves its parent
   // against the RIB: the parent's last announce in that batch.
   constexpr std::size_t kPart = Rib<Ipv4Prefix, Ipv4PrefixKey>::kPartOps;
@@ -303,13 +304,15 @@ TEST(FibManager, BulkLoadLargerThanOnePartThenWithdrawFindsTheParent) {
   fib.commit();
   expect_published_build(fib, oracle);
 
-  // Onto the table that now holds routes: one /24 in three and 5,000 new
-  // /24s, 10.5.0.0/16 twice, then a withdraw under that /16.
+  // Onto the table that now holds routes: one /24 in three and 12,000
+  // new /24s, 10.5.0.0/16 twice, then a withdraw under that /16. The RIB
+  // sized itself for the 18,854-op load (65,536 slots), and the 16,449
+  // routes it holds plus these 17,464 ops need more.
   announce(0x0a050000, 16, 30);
   for (u32 c = 0; c < 64 * 256; c += 3) announce(0x0a000000 | c << 8, 24, 31);
-  for (u32 c = 0; c < 5'000; ++c) announce(0x0b000000 | c << 8, 24, 32 + c % 3);
+  for (u32 c = 0; c < 12'000; ++c) announce(0x0b000000 | c << 8, 24, 32 + c % 3);
   announce(0x0a050000, 16, 40);
-  ASSERT_GT(fib.pending_updates(), 2 * kPart);
+  ASSERT_GT(fib.pending_updates(), 4 * kPart);
   const Ipv4Prefix child{net::Ipv4Addr(10, 5, 9, 0), 24, 0};
   ASSERT_TRUE(fib.withdraw(child));
   oracle.erase(Ipv4PrefixKey{}(child));
