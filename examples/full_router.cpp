@@ -78,10 +78,10 @@ int main() {
   std::printf("phase 1: 5000 IPv4 packets -> port 1 saw %llu\n",
               static_cast<unsigned long long>(sink.sunk_on_port(1)));
 
-  // Control-plane event: re-route the default to port 6, live.
+  // Control-plane event: re-route the default to port 6, live. Each master
+  // uploads the new generation to its GPU before its next batch.
   fib.announce({net::Ipv4Addr(0), 0, 6});
   fib.commit();
-  v4.sync();
   std::printf("control plane: default route moved to port 6 (generation %llu)\n",
               static_cast<unsigned long long>(fib.generation()));
 

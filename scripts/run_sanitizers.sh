@@ -36,7 +36,9 @@
 # (CountingScatter), the flat RIB's bulk insert on every core and its
 # wrap-around erase, the commit paths, the settling of queued announces
 # while another thread announces, and the updater — is collected under
-# the "fib" shorthand.
+# the "fib" shorthand. So are the forwarding apps' tests (DynamicIpv4,
+# DynamicIpv6, GpuCpuDifferential), because each GPU's master reads the
+# live FIB to refresh its device table copy.
 # CI runs it under ASan+UBSan, TSan and standalone UBSan before the full
 # suites, so a mistake there fails fast:
 #   scripts/run_sanitizers.sh "address thread undefined" fib
@@ -51,7 +53,7 @@ set -e
 cd "$(dirname "$0")/.."
 
 telemetry_filter='TelemetryConservation|MetricsRegistry|PipelineTrace|BenchLine|Exporter|StageBreakdown|GpuCpuDifferential'
-fib_filter='Fib|Ipv4Apply|Ipv4Table|Ipv4Edge|Ipv6Table|Ipv6Edge|ParallelFor|CountingScatter'
+fib_filter='Fib|Ipv4Apply|Ipv4Table|Ipv4Edge|Ipv6Table|Ipv6Edge|ParallelFor|CountingScatter|DynamicIpv4|DynamicIpv6|GpuCpuDifferential'
 liveness_filter='Router|IoEngine|NicPort|Supervisor|OverloadControl|Admission|LinkFlap|Chaos|Testbed'
 
 presets="${1:-address thread undefined}"

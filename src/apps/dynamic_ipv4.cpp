@@ -23,56 +23,17 @@ bool classify_and_rewrite(iengine::PacketChunk& chunk, u32 i) {
 
 }  // namespace
 
-DynamicIpv4ForwardApp::DynamicIpv4ForwardApp(route::Ipv4Fib& fib) : fib_(fib) {}
+DynamicIpv4ForwardApp::DynamicIpv4ForwardApp(route::Ipv4Fib& fib)
+    : fib_(fib), tables_(fib, kMaxBatchItems, sizeof(u32)) {}
 
-void DynamicIpv4ForwardApp::upload(GpuState& st, int slot, const route::Ipv4Table& table) {
-  if (!st.tbl24[slot].valid()) {
-    st.tbl24[slot] = st.device->alloc((1u << 24) * sizeof(u16));
-    st.tbl_long[slot] = st.device->alloc(static_cast<std::size_t>(kMaxOverflowChunks) *
-                                         route::Ipv4Table::kChunk * sizeof(u16));
+void DynamicIpv4ForwardApp::DeviceTable::upload(TableUpload& up, const route::Ipv4Table& table) {
+  if (!tbl24.valid()) {
+    tbl24 = up.device.alloc((1u << 24) * sizeof(u16));
+    tbl_long = up.device.alloc(static_cast<std::size_t>(kMaxOverflowChunks) *
+                               route::Ipv4Table::kChunk * sizeof(u16));
   }
-  const auto tbl24 = table.tbl24();
-  st.device->memcpy_h2d(st.tbl24[slot], 0,
-                        {reinterpret_cast<const u8*>(tbl24.data()), tbl24.size_bytes()});
-  const auto tbl_long = table.tbl_long();
-  assert(tbl_long.size() / route::Ipv4Table::kChunk <= kMaxOverflowChunks);
-  if (!tbl_long.empty()) {
-    st.device->memcpy_h2d(st.tbl_long[slot], 0,
-                          {reinterpret_cast<const u8*>(tbl_long.data()),
-                           tbl_long.size_bytes()});
-  }
-}
-
-void DynamicIpv4ForwardApp::bind_gpu(gpu::GpuDevice& device) {
-  if (gpu_state_.contains(device.gpu_id())) return;
-  auto st = std::make_unique<GpuState>();
-  st->device = &device;
-  st->input = device.alloc(kMaxBatchItems * sizeof(u32));
-  st->output = device.alloc(kMaxBatchItems * sizeof(u16));
-
-  const auto snapshot = fib_.snapshot();
-  upload(*st, 0, *snapshot);
-  st->generation = fib_.generation();
-  st->active.store(0, std::memory_order_release);
-  gpu_state_.emplace(device.gpu_id(), std::move(st));
-}
-
-int DynamicIpv4ForwardApp::sync() {
-  const u64 generation = fib_.generation();
-  const auto snapshot = fib_.snapshot();
-  int refreshed = 0;
-  for (auto& [id, st] : gpu_state_) {
-    if (st->generation == generation) continue;
-    // Double buffering: write the standby copy, then flip. Masters pick
-    // up the new index at their next shade; in-flight kernels keep
-    // reading the old copy.
-    const int standby = 1 - st->active.load(std::memory_order_acquire);
-    upload(*st, standby, *snapshot);
-    st->active.store(standby, std::memory_order_release);
-    st->generation = generation;
-    ++refreshed;
-  }
-  return refreshed;
+  assert(table.tbl_long().size() / route::Ipv4Table::kChunk <= kMaxOverflowChunks);
+  up.copy(tbl24, table.tbl24()).copy(tbl_long, table.tbl_long());
 }
 
 void DynamicIpv4ForwardApp::pre_shade(core::ShaderJob& job) {
@@ -92,24 +53,21 @@ void DynamicIpv4ForwardApp::pre_shade(core::ShaderJob& job) {
 core::ShadeOutcome DynamicIpv4ForwardApp::shade(core::GpuContext& gpu,
                                                 std::span<core::ShaderJob* const> jobs,
                                                 Picos submit_time) {
-  auto& st = *gpu_state_.at(gpu.device->gpu_id());
-  const int slot = st.active.load(std::memory_order_acquire);
-  const auto make_kernel = [st = &st, slot](u32 offset, u32 items) {
+  const auto make_kernel = [](DeviceTables::Device& d, u32 offset, u32 items) {
     return gpu::KernelLaunch{
         .threads = items,
         .body =
-            [st, slot, offset](gpu::ThreadCtx& ctx) {
+            [d = &d, offset](gpu::ThreadCtx& ctx) {
               const u32 item = offset + ctx.thread_id();
-              st->output.as<u16>()[item] = route::Ipv4Table::lookup_in_arrays(
-                  st->tbl24[slot].as<const u16>(), st->tbl_long[slot].as<const u16>(),
-                  st->input.as<const u32>()[item]);
+              d->output.as<u16>()[item] = route::Ipv4Table::lookup_in_arrays(
+                  d->copy.tbl24.as<const u16>(), d->copy.tbl_long.as<const u16>(),
+                  d->input.as<const u32>()[item]);
             },
         // One table probe for ~97% of packets, two for prefixes >/24.
         .cost = {.instructions = perf::kGpuIpv4LookupInstr, .mem_accesses = 1.05},
     };
   };
-  return shade_lookups(gpu, jobs, submit_time, st.input, sizeof(u32), st.output, sizeof(u16),
-                       make_kernel);
+  return tables_.shade(gpu, jobs, submit_time, make_kernel);
 }
 
 void DynamicIpv4ForwardApp::shade_cpu(core::ShaderJob& job) {

@@ -21,61 +21,24 @@ bool classify_and_rewrite(iengine::PacketChunk& chunk, u32 i) {
 
 }  // namespace
 
-DynamicIpv6ForwardApp::DynamicIpv6ForwardApp(route::Ipv6Fib& fib) : fib_(fib) {}
+DynamicIpv6ForwardApp::DynamicIpv6ForwardApp(route::Ipv6Fib& fib)
+    : fib_(fib), tables_(fib, kMaxBatchItems, 16) {}
 
-void DynamicIpv6ForwardApp::upload(GpuState& st, int slot, const route::Ipv6Table& table) {
-  auto& copy = st.copies[slot];
-  const auto slots = table.slots();
+void DynamicIpv6ForwardApp::DeviceTable::upload(TableUpload& up, const route::Ipv6Table& table) {
   const std::size_t needed =
-      std::max<std::size_t>(slots.size_bytes(), sizeof(route::Ipv6Table::Slot));
-  if (needed > copy.slot_capacity_bytes) {
+      std::max(table.slots().size_bytes(), sizeof(route::Ipv6Table::Slot));
+  if (needed > slots.size()) {
     // Grow with headroom so routine FIB churn does not reallocate.
-    copy.slot_capacity_bytes = needed + needed / 2;
-    copy.slots = st.device->alloc(copy.slot_capacity_bytes);
+    slots = up.device.alloc(needed + needed / 2);
   }
-  if (!slots.empty()) {
-    st.device->memcpy_h2d(copy.slots, 0,
-                          {reinterpret_cast<const u8*>(slots.data()), slots.size_bytes()});
+  if (!offsets.valid()) {
+    offsets = up.device.alloc(table.level_offsets().size_bytes());
+    masks = up.device.alloc(table.level_masks().size_bytes());
   }
-
-  const auto offsets = table.level_offsets();
-  if (!copy.offsets.valid()) copy.offsets = st.device->alloc(offsets.size_bytes());
-  st.device->memcpy_h2d(copy.offsets, 0,
-                        {reinterpret_cast<const u8*>(offsets.data()), offsets.size_bytes()});
-  const auto masks = table.level_masks();
-  if (!copy.masks.valid()) copy.masks = st.device->alloc(masks.size_bytes());
-  st.device->memcpy_h2d(copy.masks, 0,
-                        {reinterpret_cast<const u8*>(masks.data()), masks.size_bytes()});
-  copy.default_nh = table.default_route();
-}
-
-void DynamicIpv6ForwardApp::bind_gpu(gpu::GpuDevice& device) {
-  if (gpu_state_.contains(device.gpu_id())) return;
-  auto st = std::make_unique<GpuState>();
-  st->device = &device;
-  st->input = device.alloc(kMaxBatchItems * 16);
-  st->output = device.alloc(kMaxBatchItems * sizeof(u16));
-
-  const auto snapshot = fib_.snapshot();
-  upload(*st, 0, *snapshot);
-  st->generation = fib_.generation();
-  st->active.store(0, std::memory_order_release);
-  gpu_state_.emplace(device.gpu_id(), std::move(st));
-}
-
-int DynamicIpv6ForwardApp::sync() {
-  const u64 generation = fib_.generation();
-  const auto snapshot = fib_.snapshot();
-  int refreshed = 0;
-  for (auto& [id, st] : gpu_state_) {
-    if (st->generation == generation) continue;
-    const int standby = 1 - st->active.load(std::memory_order_acquire);
-    upload(*st, standby, *snapshot);
-    st->active.store(standby, std::memory_order_release);
-    st->generation = generation;
-    ++refreshed;
-  }
-  return refreshed;
+  default_nh = table.default_route();
+  up.copy(slots, table.slots())
+      .copy(offsets, table.level_offsets())
+      .copy(masks, table.level_masks());
 }
 
 void DynamicIpv6ForwardApp::pre_shade(core::ShaderJob& job) {
@@ -100,17 +63,15 @@ void DynamicIpv6ForwardApp::pre_shade(core::ShaderJob& job) {
 core::ShadeOutcome DynamicIpv6ForwardApp::shade(core::GpuContext& gpu,
                                                 std::span<core::ShaderJob* const> jobs,
                                                 Picos submit_time) {
-  auto& st = *gpu_state_.at(gpu.device->gpu_id());
-  const int slot = st.active.load(std::memory_order_acquire);
-  const auto make_kernel = [st = &st, slot](u32 offset, u32 items) {
+  const auto make_kernel = [](DeviceTables::Device& d, u32 offset, u32 items) {
     return gpu::KernelLaunch{
         .threads = items,
         .body =
-            [st, slot, offset](gpu::ThreadCtx& ctx) {
+            [d = &d, offset](gpu::ThreadCtx& ctx) {
               const u32 item = offset + ctx.thread_id();
-              const TableCopy& copy = st->copies[slot];
-              const u64* key = st->input.as<const u64>() + std::size_t{item} * 2;
-              st->output.as<u16>()[item] = route::Ipv6Table::lookup_in_arrays(
+              const DeviceTable& copy = d->copy;
+              const u64* key = d->input.as<const u64>() + std::size_t{item} * 2;
+              d->output.as<u16>()[item] = route::Ipv6Table::lookup_in_arrays(
                   copy.slots.as<const route::Ipv6Table::Slot>(), copy.offsets.as<const u32>(),
                   copy.masks.as<const u32>(), key[0], key[1], copy.default_nh);
             },
@@ -124,8 +85,7 @@ core::ShadeOutcome DynamicIpv6ForwardApp::shade(core::GpuContext& gpu,
                  .bytes_per_access = 48},
     };
   };
-  return shade_lookups(gpu, jobs, submit_time, st.input, 16, st.output, sizeof(u16),
-                       make_kernel);
+  return tables_.shade(gpu, jobs, submit_time, make_kernel);
 }
 
 void DynamicIpv6ForwardApp::shade_cpu(core::ShaderJob& job) {

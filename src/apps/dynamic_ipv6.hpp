@@ -6,16 +6,12 @@
 //
 // Every FIB generation is an Ipv6Table, whose flat per-length hash arrays
 // are the whole table: the CPU paths walk them on the pinned generation,
-// and each GPU holds up to two device copies of them. sync() uploads a
-// committed generation into the standby copy (allocating or growing it
-// when the table outgrew its reservation) and flips atomically.
+// and each GPU holds one device copy of them, which its master brings up
+// to the FIB's generation at the start of a batch (apps/device_tables.hpp),
+// growing it when the table outgrows its reservation.
 #pragma once
 
-#include <atomic>
-#include <memory>
-#include <unordered_map>
-
-#include "common/atomic_shim.hpp"
+#include "apps/device_tables.hpp"
 #include "core/shader.hpp"
 #include "route/fib_manager.hpp"
 
@@ -27,7 +23,7 @@ class DynamicIpv6ForwardApp final : public core::Shader {
   explicit DynamicIpv6ForwardApp(route::Ipv6Fib& fib);
 
   const char* name() const override { return "ipv6-forward"; }
-  void bind_gpu(gpu::GpuDevice& device) override;
+  void bind_gpu(gpu::GpuDevice& device) override { tables_.bind(device); }
   void pre_shade(core::ShaderJob& job) override;
   core::ShadeOutcome shade(core::GpuContext& gpu, std::span<core::ShaderJob* const> jobs,
                            Picos submit_time = 0) override;
@@ -35,34 +31,21 @@ class DynamicIpv6ForwardApp final : public core::Shader {
   void post_shade(core::ShaderJob& job) override;
   void process_cpu(iengine::PacketChunk& chunk) override;
 
-  /// Push the FIB's current generation to every bound GPU (standby upload
-  /// + flip). Call after fib.commit(); safe while the data path runs.
-  int sync();
-
   static constexpr u32 kMaxBatchItems = 65536;
 
  private:
-  struct TableCopy {
+  /// The flat per-length arrays; the slot array grows when a table outgrows it.
+  struct DeviceTable {
     gpu::DeviceBuffer slots;
     gpu::DeviceBuffer offsets;  // u32[129]
     gpu::DeviceBuffer masks;    // u32[129]
-    std::size_t slot_capacity_bytes = 0;
     route::NextHop default_nh = route::kNoRoute;
+    void upload(TableUpload& up, const route::Ipv6Table& table);
   };
-  struct GpuState {
-    gpu::GpuDevice* device = nullptr;
-    TableCopy copies[2];
-    gpu::DeviceBuffer input;   // 16 B address per item
-    gpu::DeviceBuffer output;  // u16 next hop per item
-    // mc: app.dyn.active -- double-buffer slot index; release swap after upload
-    ps::atomic<int> active{0};
-    u64 generation = 0;
-  };
-
-  void upload(GpuState& st, int slot, const route::Ipv6Table& table);
+  using DeviceTables = DeviceFib<route::Ipv6Fib, DeviceTable>;
 
   route::Ipv6Fib& fib_;
-  std::unordered_map<int, std::unique_ptr<GpuState>> gpu_state_;
+  DeviceTables tables_;
 };
 
 }  // namespace ps::apps

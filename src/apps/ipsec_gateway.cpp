@@ -71,6 +71,18 @@ double byte_copy_cycles(u64 bytes) {
 
 IpsecGatewayApp::IpsecGatewayApp(const crypto::SecurityAssociation& sa) : sa_(sa) {}
 
+gpu::GpuResult IpsecGatewayApp::upload_keys(GpuState& st, TableUpload up) const {
+  // Key material, static per SA (section 6): AES schedule, CTR nonce, HMAC key.
+  std::vector<u8> keys;
+  const auto schedule = sa_.cipher.round_keys();
+  keys.insert(keys.end(), schedule.begin(), schedule.end());
+  keys.insert(keys.end(), sa_.nonce.begin(), sa_.nonce.end());
+  keys.insert(keys.end(), sa_.auth_key.begin(), sa_.auth_key.end());
+  st.keys = up.device.alloc(keys.size());
+  st.keys_loaded = up.copy(st.keys, keys).result.ok();
+  return up.result;
+}
+
 void IpsecGatewayApp::bind_gpu(gpu::GpuDevice& device) {
   if (gpu_state_.contains(device.gpu_id())) return;
   GpuState st;
@@ -81,17 +93,7 @@ void IpsecGatewayApp::bind_gpu(gpu::GpuDevice& device) {
   st.icv = device.alloc(kMaxBatchPackets * crypto::kHmacSha1_96Size);
   st.blob_segs.reserve(iengine::PacketChunk::kDefaultMaxPackets);
   st.icv_segs.reserve(iengine::PacketChunk::kDefaultMaxPackets);
-
-  // Key material: expanded AES schedule + CTR nonce + HMAC key, uploaded
-  // once per SA (keys are static, section 6).
-  std::vector<u8> keys;
-  const auto schedule = sa_.cipher.round_keys();
-  keys.insert(keys.end(), schedule.begin(), schedule.end());
-  keys.insert(keys.end(), sa_.nonce.begin(), sa_.nonce.end());
-  keys.insert(keys.end(), sa_.auth_key.begin(), sa_.auth_key.end());
-  st.keys = device.alloc(keys.size());
-  device.memcpy_h2d(st.keys, 0, keys);
-
+  upload_keys(st, {device});
   gpu_state_.emplace(device.gpu_id(), std::move(st));
 }
 
@@ -287,6 +289,12 @@ gpu::GpuStatus IpsecGatewayApp::shade_one_job(core::GpuContext& gpu, core::Shade
 core::ShadeOutcome IpsecGatewayApp::shade(core::GpuContext& gpu,
                                           std::span<core::ShaderJob* const> jobs,
                                           Picos submit_time) {
+  auto& state = gpu_state_.at(gpu.device->gpu_id());
+  if (!state.keys_loaded) {
+    const auto up = upload_keys(state, {*gpu.device, gpu.stream_for(0), submit_time});
+    if (!up.ok()) return {up.status, up.end};
+    submit_time = up.end;
+  }
   Picos done = submit_time;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const auto st = shade_one_job(gpu, *jobs[j], gpu.stream_for(j), submit_time, done);

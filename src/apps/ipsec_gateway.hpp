@@ -13,6 +13,7 @@
 #include <atomic>
 #include <unordered_map>
 
+#include "apps/device_tables.hpp"
 #include "common/atomic_shim.hpp"
 #include "core/shader.hpp"
 #include "crypto/esp.hpp"
@@ -45,6 +46,7 @@ class IpsecGatewayApp final : public core::Shader {
     gpu::DeviceBuffer blob;    // in-place encryption
     gpu::DeviceBuffer icv;     // 12 B per packet
     gpu::DeviceBuffer keys;    // AES schedule (176 B) + nonce (4) + auth key (20)
+    bool keys_loaded = false;  // the keys' last upload landed
     // Scatter-D2H descriptor lists reused across batches (shade runs on
     // the one master that owns this GPU, so no synchronization; grow-only,
     // reaching steady size after the first full batch).
@@ -52,6 +54,8 @@ class IpsecGatewayApp final : public core::Shader {
     std::vector<gpu::ScatterSeg> icv_segs;
   };
 
+  /// Upload the keys; until they land, each shade() retries and fails.
+  gpu::GpuResult upload_keys(GpuState& st, TableUpload up) const;
   /// The framing half of both paths, in place: classify each packet, grow
   /// the chunk once, and build each tunnel frame in its own span with the
   /// payload in plaintext and the ICV zeroed.

@@ -22,10 +22,7 @@ u32 OpenFlowApp::encode_result(MatchSource source, u32 index) {
   return (static_cast<u32>(source) << 28) | (index & 0x0fffffff);
 }
 
-void OpenFlowApp::bind_gpu(gpu::GpuDevice& device) {
-  if (gpu_state_.contains(device.gpu_id())) return;
-  GpuState st;
-
+gpu::GpuResult OpenFlowApp::upload_tables(GpuState& st, TableUpload up) const {
   const auto slots = switch_.exact().slots();
   std::vector<GpuExactSlot> exact(slots.size());
   for (std::size_t i = 0; i < slots.size(); ++i) {
@@ -33,9 +30,7 @@ void OpenFlowApp::bind_gpu(gpu::GpuDevice& device) {
     exact[i].occupied = slots[i].occupied;
   }
   st.exact_mask = static_cast<u32>(slots.size() - 1);
-  st.exact = device.alloc(exact.size() * sizeof(GpuExactSlot));
-  device.memcpy_h2d(st.exact, 0,
-                    {reinterpret_cast<const u8*>(exact.data()), exact.size() * sizeof(GpuExactSlot)});
+  st.exact = up.device.alloc(exact.size() * sizeof(GpuExactSlot));
 
   const auto entries = switch_.wildcard().entries();
   std::vector<GpuWildcardEntry> wild(entries.size());
@@ -47,16 +42,18 @@ void OpenFlowApp::bind_gpu(gpu::GpuDevice& device) {
     wild[i].priority = entries[i].match.priority;
   }
   st.wildcard_count = static_cast<u32>(wild.size());
-  st.wildcard = device.alloc(std::max<std::size_t>(wild.size() * sizeof(GpuWildcardEntry),
-                                                   sizeof(GpuWildcardEntry)));
-  if (!wild.empty()) {
-    device.memcpy_h2d(st.wildcard, 0,
-                      {reinterpret_cast<const u8*>(wild.data()),
-                       wild.size() * sizeof(GpuWildcardEntry)});
-  }
+  st.wildcard = up.device.alloc(std::max<std::size_t>(wild.size() * sizeof(GpuWildcardEntry),
+                                                      sizeof(GpuWildcardEntry)));
+  st.loaded = up.copy(st.exact, exact).copy(st.wildcard, wild).result.ok();
+  return up.result;
+}
 
+void OpenFlowApp::bind_gpu(gpu::GpuDevice& device) {
+  if (gpu_state_.contains(device.gpu_id())) return;
+  GpuState st;
   st.input = device.alloc(kMaxBatchItems * sizeof(openflow::FlowKey));
   st.output = device.alloc(kMaxBatchItems * sizeof(u32));
+  upload_tables(st, {device});
   gpu_state_.emplace(device.gpu_id(), std::move(st));
 }
 
@@ -99,6 +96,11 @@ core::ShadeOutcome OpenFlowApp::shade(core::GpuContext& gpu,
                                       std::span<core::ShaderJob* const> jobs,
                                       Picos submit_time) {
   auto& st = gpu_state_.at(gpu.device->gpu_id());
+  if (!st.loaded) {
+    const auto up = upload_tables(st, {*gpu.device, gpu.stream_for(0), submit_time});
+    if (!up.ok()) return {up.status, up.end};
+    submit_time = up.end;
+  }
 
   // The wildcard scan diverges only when packets match different entries;
   // with priority-ordered early exit most warps run the full loop in

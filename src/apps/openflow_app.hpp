@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "apps/device_tables.hpp"
 #include "core/shader.hpp"
 #include "openflow/switch_table.hpp"
 
@@ -59,8 +60,11 @@ class OpenFlowApp final : public core::Shader {
     gpu::DeviceBuffer output;    // u32 encoded result per item
     u32 exact_mask = 0;
     u32 wildcard_count = 0;
+    bool loaded = false;  // the tables' last upload landed
   };
 
+  /// Upload the tables; until they land, each shade() retries and fails.
+  gpu::GpuResult upload_tables(GpuState& st, TableUpload up) const;
   static u32 encode_result(MatchSource source, u32 index);
   void apply_action(iengine::PacketChunk& chunk, u32 i, openflow::Action action);
   perf::KernelCost kernel_cost() const;

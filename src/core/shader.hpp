@@ -174,7 +174,7 @@ struct ShadeOutcome {
 /// Applications implement this interface. One instance is shared by all
 /// threads: pre/post_shade run concurrently on worker threads, shade on
 /// master threads, so implementations keep per-packet state inside the job
-/// and treat tables as read-only (the paper assumes static tables, §6).
+/// and treat tables as read-only (a FIB changes by publishing a generation).
 class Shader {
  public:
   virtual ~Shader() = default;

@@ -240,9 +240,9 @@ class GpuDevice {
   std::shared_ptr<SimtExecutor> executor_;
   perf::CostLedger* ledger_ = nullptr;
   fault::FaultInjector* injector_ = nullptr;
-  // Serializes device operations: a master thread and a control-plane
-  // table update (DynamicIpv4ForwardApp::sync) may touch one device
-  // concurrently, like the CUDA driver's per-context lock.
+  // Serializes device operations and the counters sampling threads read,
+  // like the CUDA driver's per-context lock. Only the device's master
+  // issues ops, table uploads included, so it is uncontended on the data path.
   mutable Mutex op_mu_;
 
   OpObserver op_observer_ GUARDED_BY(op_mu_);

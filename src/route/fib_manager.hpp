@@ -327,9 +327,9 @@ class FibManager {
     return ReadGuard(std::move(guard), current_.load(std::memory_order_acquire));
   }
 
-  /// Control-plane snapshot (GPU table upload, tests): shared ownership of
-  /// the current generation. Costs a ref-count bump under a short lock —
-  /// fine per sync(), wrong per packet; the data path uses read().
+  /// Snapshot for tests: shared ownership of the current generation.
+  /// Costs a ref-count bump under a short lock, so the data path, the
+  /// GPU masters' table refresh included, uses read().
   std::shared_ptr<const Table> snapshot() const {
     MutexLock lock(mu_);
     return std::shared_ptr<const Table>(active_, &active_->table);

@@ -70,8 +70,8 @@ void record_ports(const core::ShaderJob& job, std::vector<i16>& ports) {
 }
 
 // The forwarding apps run each input twice: on the first FIB generation,
-// then, after an announce/withdraw batch, commit() and sync(), on the
-// second, with the GPU path reading the device copy sync() flipped to.
+// then, after an announce/withdraw batch and commit(), on the second, with
+// the GPU path reading the device copy its first batch re-uploaded.
 TEST(GpuCpuDifferential, Ipv4Forward) {
   const auto rib =
       route::generate_ipv4_rib({.prefix_count = 30'000, .num_next_hops = 8, .seed = 101});
@@ -89,7 +89,6 @@ TEST(GpuCpuDifferential, Ipv4Forward) {
       for (std::size_t i = 0; i < rib.size(); i += 3) fib.withdraw(rib[i]);
       fib.announce({net::Ipv4Addr(0), 0, 7});  // former misses now forward
       fib.commit();
-      ASSERT_EQ(app.sync(), 1);
     }
     u32 seed = 200;
     for (const u32 n : kChunkSizes) {
@@ -123,7 +122,6 @@ TEST(GpuCpuDifferential, Ipv6Forward) {
       for (std::size_t i = 0; i < rib.size(); i += 3) fib.withdraw(rib[i]);
       fib.announce({net::Ipv6Addr{}, 0, 7});  // former misses now forward
       fib.commit();
-      ASSERT_EQ(app.sync(), 1);
     }
     u32 seed = 300;
     for (const u32 n : kChunkSizes) {

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "apps/ipsec_gateway.hpp"
+#include "fault/fault_injector.hpp"
 #include "gen/traffic.hpp"
 
 namespace ps::apps {
@@ -89,6 +90,44 @@ TEST(IpsecGatewayApp, GpuBytesMatchCpuBytes) {
     const auto b = cpu_job.chunk.packet(i);
     ASSERT_EQ(a.size(), b.size()) << i;
     EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << "packet " << i;
+  }
+}
+
+TEST(IpsecGatewayApp, FailedKeyUploadFailsShadeUntilReloaded) {
+  // The bind-time key upload and the first batch's retry of it both fail:
+  // each batch reports the failure until an upload at the start of a batch
+  // lands, and then the device's output decrypts with the SA's keys.
+  const auto sa = gateway_sa();
+  IpsecGatewayApp app(sa);
+  GpuHarness gpu;
+  fault::FaultInjector inj;
+  gpu.device.set_fault_injector(&inj);
+  inj.add_rule({.point = "gpu.copy", .after = 0, .count = 2});
+  app.bind_gpu(gpu.device);
+
+  gen::TrafficGen traffic({.frame_size = 200, .seed = 36});
+  std::vector<net::FrameBuffer> originals;
+  core::ShaderJob job(8);
+  for (int i = 0; i < 8; ++i) {
+    originals.push_back(traffic.next_frame());
+    job.chunk.append(originals.back());
+  }
+  job.chunk.in_port = 0;
+  app.pre_shade(job);
+  core::ShaderJob* jobs[] = {&job};
+  EXPECT_EQ(app.shade(gpu.ctx, {jobs, 1}).status, gpu::GpuStatus::kCopyFailed);
+  ASSERT_TRUE(app.shade(gpu.ctx, {jobs, 1}).ok());
+  EXPECT_EQ(inj.stats("gpu.copy").fired, 2u);
+  app.post_shade(job);
+
+  auto rx_sa = gateway_sa();
+  for (u32 i = 0; i < 8; ++i) {
+    std::vector<u8> inner;
+    auto pkt = job.chunk.packet(i);
+    ASSERT_EQ(crypto::esp_decapsulate(rx_sa, pkt, inner), crypto::EspError::kOk) << i;
+    EXPECT_TRUE(std::equal(inner.begin() + sizeof(net::EthernetHeader), inner.end(),
+                           originals[i].begin() + sizeof(net::EthernetHeader)))
+        << i;
   }
 }
 

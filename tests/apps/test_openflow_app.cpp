@@ -5,6 +5,7 @@
 #include <set>
 
 #include "apps/openflow_app.hpp"
+#include "fault/fault_injector.hpp"
 #include "gen/traffic.hpp"
 
 namespace ps::apps {
@@ -58,6 +59,51 @@ TEST(OpenFlowApp, GpuPathMatchesCpuPath) {
   app.shade(gpu.ctx, {jobs, 1});
   app.post_shade(gpu_job);
 
+  app.process_cpu(cpu_job.chunk);
+
+  ASSERT_EQ(gpu_job.chunk.count(), cpu_job.chunk.count());
+  for (u32 i = 0; i < cpu_job.chunk.count(); ++i) {
+    EXPECT_EQ(gpu_job.chunk.verdict(i), cpu_job.chunk.verdict(i)) << i;
+    EXPECT_EQ(gpu_job.chunk.out_port(i), cpu_job.chunk.out_port(i)) << i;
+  }
+}
+
+TEST(OpenFlowApp, FailedTableUploadFailsShadeUntilReloaded) {
+  // The bind-time upload and the first batch's retry of it both fail: each
+  // batch reports the failure until an upload at the start of a batch
+  // lands, and then the device classifies like the CPU path.
+  openflow::OpenFlowSwitch sw;
+  gen::TrafficGen traffic({.seed = 27, .flow_count = 16});
+  for (u32 flow = 0; flow < 8; ++flow) {
+    sw.exact().insert(key_of_frame(traffic.frame_for_flow(flow), 0),
+                      openflow::Action::output(static_cast<u16>(flow % 8)));
+  }
+  openflow::WildcardMatch udp_any;
+  udp_any.wildcards = openflow::kWildAll & ~openflow::kWildNwProto;
+  udp_any.key.nw_proto = 17;
+  sw.wildcard().insert(udp_any, openflow::Action::output(7));
+  sw.set_default_action(openflow::Action::drop());
+
+  OpenFlowApp app(sw);
+  GpuHarness gpu;
+  fault::FaultInjector inj;
+  gpu.device.set_fault_injector(&inj);
+  inj.add_rule({.point = "gpu.copy", .after = 0, .count = 2});
+  app.bind_gpu(gpu.device);
+
+  core::ShaderJob gpu_job(32), cpu_job(32);
+  for (int i = 0; i < 32; ++i) {
+    const auto frame = traffic.next_frame();
+    gpu_job.chunk.append(frame);
+    cpu_job.chunk.append(frame);
+  }
+  gpu_job.chunk.in_port = cpu_job.chunk.in_port = 0;
+  app.pre_shade(gpu_job);
+  core::ShaderJob* jobs[] = {&gpu_job};
+  EXPECT_EQ(app.shade(gpu.ctx, {jobs, 1}).status, gpu::GpuStatus::kCopyFailed);
+  ASSERT_TRUE(app.shade(gpu.ctx, {jobs, 1}).ok());
+  EXPECT_EQ(inj.stats("gpu.copy").fired, 2u);
+  app.post_shade(gpu_job);
   app.process_cpu(cpu_job.chunk);
 
   ASSERT_EQ(gpu_job.chunk.count(), cpu_job.chunk.count());

@@ -170,8 +170,6 @@ TEST(FibChaosChurn, FaultedChurnUnderTrafficStaysCorrectAndConservesPackets) {
             << "rebuild divergence after batch " << batches;
       }
     }
-
-    app.sync();  // refresh GPU copies off the data path
   }
   churn_done.store(true);
   offerer.join();

@@ -81,8 +81,9 @@ TEST(FibChurn, CommitsUnderTrafficAndFaultsCauseNoTornLookupsOrLoss) {
     }
   });
 
-  // Control plane: churn /8 routes through announce -> commit -> sync ->
-  // withdraw -> commit -> sync while the data path runs at full tilt.
+  // Control plane: churn /8 routes through announce -> commit -> withdraw
+  // -> commit while the data path runs at full tilt; the master uploads
+  // each generation it finds before its next batch.
   constexpr int kRounds = 12;
   std::chrono::steady_clock::duration worst_commit{0};
   const u64 base_generation = fib.generation();
@@ -93,7 +94,6 @@ TEST(FibChurn, CommitsUnderTrafficAndFaultsCauseNoTornLookupsOrLoss) {
     auto t0 = std::chrono::steady_clock::now();
     fib.commit();
     worst_commit = std::max(worst_commit, std::chrono::steady_clock::now() - t0);
-    EXPECT_EQ(app.sync(), 1);
 
     std::this_thread::sleep_for(2ms);  // forward against the new table
 
@@ -101,7 +101,6 @@ TEST(FibChurn, CommitsUnderTrafficAndFaultsCauseNoTornLookupsOrLoss) {
     t0 = std::chrono::steady_clock::now();
     fib.commit();
     worst_commit = std::max(worst_commit, std::chrono::steady_clock::now() - t0);
-    EXPECT_EQ(app.sync(), 1);
 
     std::this_thread::sleep_for(2ms);
   }

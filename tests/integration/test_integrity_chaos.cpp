@@ -231,9 +231,9 @@ TEST(IntegrityChaos, CorruptionUnderFibChurnStaysExact) {
   // port as the default route, so a CPU shadow re-shade against a *newer*
   // FIB generation than the one pinned on the device still computes
   // identical results — every shadow mismatch is injected, none is
-  // generation skew. (No h2d window here: sync() uploads table
-  // generations over the same PCIe path, and corrupting a table upload
-  // would corrupt every subsequent lookup.)
+  // generation skew. (No h2d window here: the master uploads each new
+  // table generation over the same PCIe path, and corrupting a table
+  // upload would corrupt every subsequent lookup.)
   route::Ipv4Fib fib;
   fib.announce({net::Ipv4Addr(10, 0, 0, 1), 32, 1});
   fib.announce({net::Ipv4Addr(10, 0, 0, 2), 32, 1});
@@ -270,7 +270,8 @@ TEST(IntegrityChaos, CorruptionUnderFibChurnStaysExact) {
   router.start();
 
   // Control-plane churn racing the corrupted data plane: announce/withdraw
-  // disjoint /24s, committing + syncing the device tables each round.
+  // disjoint /24s, committing each round; the master uploads each
+  // generation it finds before its next batch.
   std::atomic<bool> churn_done{false};
   std::thread churner([&] {
     for (int round = 0; round < 200; ++round) {
@@ -281,7 +282,6 @@ TEST(IntegrityChaos, CorruptionUnderFibChurnStaysExact) {
         fib.withdraw(p);
       }
       fib.commit();
-      app.sync();
       std::this_thread::sleep_for(200us);
     }
     churn_done.store(true, std::memory_order_release);

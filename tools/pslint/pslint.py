@@ -45,8 +45,9 @@ or the preceding line):
                       or a mutex-taking FIB snapshot() inside the
                       per-packet read path: lookup/lookup_batch in
                       src/route, shade_cpu/process_cpu/pre_shade/
-                      post_shade in src/apps, and (snapshot only)
-                      shade_batch/cpu_fallback_batch in src/core. The
+                      post_shade and the master's per-batch shade/refresh
+                      in src/apps, and (snapshot only) shade_batch/
+                      cpu_fallback_batch in src/core. The
                       data path reads FIB generations through the
                       epoch-pinned FibManager::read(); any lock here
                       reintroduces the updater-stalls-lookups coupling
@@ -471,7 +472,7 @@ def check_steady_state_growth(sf, findings):
 # apps' lock-free leaves, so only the mutex-taking snapshot() is banned.
 READ_PATH_FNS = {
     "route": (r"lookup|lookup_batch", True),
-    "apps": (r"shade_cpu|process_cpu|pre_shade|post_shade", True),
+    "apps": (r"shade_cpu|process_cpu|pre_shade|post_shade|shade|refresh", True),
     "core": (r"shade_batch|cpu_fallback_batch|" + PIPELINE_STAGE_FNS, False),
 }
 READ_PATH_ACQUIRE_RE = re.compile(
